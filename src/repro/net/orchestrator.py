@@ -8,22 +8,20 @@ server stubs.  The shard is sans-IO: handlers map one inbound message
 to outbound messages, and both transports (deterministic in-process
 loop, asyncio sockets) drive the same code.
 
-**Equivalence contract.**  For a fault-free run the shard reproduces
-``SchedulerService._run_window`` float-op for float-op:
+**Equivalence by construction.**  The shard does not re-implement the
+window: it calls the same :class:`~repro.service.loop.WindowStep` as
+``SchedulerService._run_window`` — ``admit`` on SUBMIT, ``fold`` and
+``close`` at the barrier — so a fault-free run reproduces the
+in-process report bit for bit.  Only the replay differs, and it is the
+same math:
 
-* SUBMIT processing runs ``observe_arrivals → admit_mask →
-  select_batch`` and partitions admitted jobs with the same stable
-  argsort + searchsorted the grouped replay uses;
+* SUBMIT partitions the admitted jobs with the stable argsort +
+  searchsorted the grouped replay uses;
 * each stub replays its slice with the identical per-server Lindley
   recursion (:func:`~repro.service.replay.lindley_window`);
-* COMPLETE replies are folded in server-index order behind a per-window
-  barrier: per-server witness slices concatenated in server order equal
-  the in-process ``wit[order]`` bit-for-bit (elementwise division
-  commutes with the permutation), and departures are scattered back to
-  arrival order before the response means — numpy's pairwise summation
-  makes the reduction order part of the contract;
-* ``resolve(end)`` runs only after the barrier, exactly once per
-  window, so estimator state at every boundary matches the serial loop.
+* COMPLETE replies wait behind a per-window barrier and are scattered
+  back to arrival order before the fold, so ``close`` (and its
+  ``resolve(end)``) runs exactly once per window, after every reply.
 
 Windows are processed strictly in order, one at a time — SUBMITs queue
 in the transport while a window is in flight (that queue, plus the
@@ -35,8 +33,9 @@ cost is tracked per window in ``decision_latency`` and surfaced by
 **Membership.**  A dead stub is detected by connection EOF (primary)
 or heartbeat staleness (fallback); its pending slice is counted lost
 (``on_failure="lose"`` semantics — the networked layer has no retry
-path yet), the controller's failure detector is informed, and the next
-boundary re-solve redistributes over the survivors via FA_ORR.  The
+or degrade path yet, so a config with ``faults`` enabled is refused),
+the controller's failure detector is informed, and the next boundary
+re-solve redistributes over the survivors via FA_ORR.  The
 repair mirror: a restarted stub reconnects and sends a REGISTER naming
 its rejoin window; the shard parks it (*registering*) and folds it back
 into membership when that window's SUBMIT arrives — deferring to the
@@ -59,11 +58,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dispatch.round_robin import SequenceRoundRobin
 from ..metrics.online import LatencyStats
 from ..obs import counters
-from ..service.controller import AdmissionGate, ControlDecision
-from ..service.loop import ServiceConfig, ServiceReport, WindowRecord, build_controller
+from ..service.controller import ControlDecision
+from ..service.loop import ServiceConfig, ServiceReport, WindowStep
 from .protocol import (
     Complete,
     Dispatch,
@@ -104,7 +102,6 @@ class _WindowState:
     start: float
     end: float
     offered: int
-    shed: int
     adm_times: np.ndarray
     adm_sizes: np.ndarray
     order: np.ndarray
@@ -119,13 +116,16 @@ class OrchestratorShard:
     """Sans-IO dispatch brain for one shard of the pool."""
 
     def __init__(self, config: ServiceConfig, *, shard_id: int = 0):
+        if config.faults is not None and config.faults.enabled:
+            raise ValueError(
+                "the networked orchestrator cannot inject faults from "
+                "config.faults (no retry or degrade path); script kills "
+                "with kill=/rejoin= and pass faults=None"
+            )
         self.config = config
         self.shard_id = int(shard_id)
         self.n = len(config.speeds)
-        self.controller = build_controller(config)
-        self.gate = AdmissionGate()
-        self.dispatcher = SequenceRoundRobin()
-        self.dispatcher.reset(self.controller.alphas)
+        self.step = WindowStep(config)
         self.report = ServiceReport(config=config)
         self.up = np.ones(self.n, dtype=bool)
         self.decisions: list[ControlDecision] = []
@@ -178,36 +178,20 @@ class OrchestratorShard:
         sizes = np.asarray(msg.sizes, dtype=float)
 
         t0 = time.perf_counter()
-        controller = self.controller
-        controller.observe_arrivals(times, sizes)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        if mask.all():
-            adm_times = times
-            adm_sizes = sizes
-        else:
-            adm_times = times[mask]
-            adm_sizes = sizes[mask]
-        targets = self.dispatcher.select_batch(adm_sizes)
+        adm_times, adm_sizes = self.step.admit(times, sizes)
+        targets = self.step.dispatcher.select_batch(adm_sizes)
         # Same stable group-by-server partition as the grouped replay.
         order = np.argsort(targets, kind="stable")
-        sorted_targets = targets[order]
-        bounds = np.searchsorted(sorted_targets, np.arange(self.n + 1))
+        bounds = np.searchsorted(targets[order], np.arange(self.n + 1))
         self.decision_latency.observe(
             time.perf_counter() - t0, jobs=int(adm_times.size)
         )
-
-        shed = int(times.size - adm_times.size)
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
 
         state = _WindowState(
             window=k,
             start=start,
             end=end,
             offered=int(times.size),
-            shed=shed,
             adm_times=adm_times,
             adm_sizes=adm_sizes,
             order=order,
@@ -300,7 +284,7 @@ class OrchestratorShard:
             if self._rejoins[server].window <= window:
                 del self._rejoins[server]
                 self.up[server] = True
-                self.controller.mark_server_up(
+                self.step.controller.mark_server_up(
                     server, start, fresh_estimates=True
                 )
                 counters.inc("net.server_rejoin")
@@ -330,7 +314,7 @@ class OrchestratorShard:
         state = self._pending
         now = state.end if state is not None else self.windows_done * \
             self.config.control_period
-        self.controller.mark_server_down(server, now)
+        self.step.controller.mark_server_down(server, now)
         counters.inc("net.server_down")
         if state is not None and server in state.expected:
             lo, hi = state.bounds[server], state.bounds[server + 1]
@@ -345,108 +329,46 @@ class OrchestratorShard:
     # ------------------------------------------------------------------
 
     def _finalize_window(self) -> Resolve:
-        """Fold replies, close the estimator window, emit the RESOLVE.
+        """Fold replies, close the window, emit the RESOLVE.
 
-        Fault-free (``lost == 0``) folding is bit-identical to the
-        in-process loop; with losses the surviving slices are folded in
-        server-index order with compacted offsets (lost jobs produce no
-        witnesses and no response samples).
+        Lost-free windows scatter the replies back to arrival order and
+        fold through the shared step, bit-identical to the in-process
+        loop; with losses only the survivors are folded.
         """
         state = self._pending
         assert state is not None
         self._pending = None
-        controller = self.controller
         n_adm = int(state.adm_times.size)
         completed = n_adm - state.lost
 
-        if state.lost == 0 and n_adm:
-            # Grouped arrays reassembled exactly as the replay emits
-            # them: per-server slices concatenated in server order.
-            svc_g = np.empty(n_adm)
-            dep_g = np.empty(n_adm)
-            for i, reply in sorted(state.replies.items()):
-                lo, hi = state.bounds[i], state.bounds[i + 1]
-                svc_g[lo:hi] = reply.service_times
-                dep_g[lo:hi] = reply.departures
-            sizes_g = state.adm_sizes[state.order]
-            witg = sizes_g / svc_g
-            controller.observe_services_grouped(witg, state.bounds)
+        if state.lost == 0:
             departures = np.empty(n_adm)
-            departures[state.order] = dep_g
-            response = departures - state.adm_times
-            mrt = float(response.mean())
-            ratio = float((response / state.adm_sizes).mean())
-            controller.observe_responses(response)
+            service_times = np.empty(n_adm)
+            for i, reply in state.replies.items():
+                idx = state.order[state.bounds[i]:state.bounds[i + 1]]
+                departures[idx] = reply.departures
+                service_times[idx] = reply.service_times
+            mrt, ratio = self.step.fold(
+                state.adm_times, state.adm_sizes, departures, service_times,
+                state.order, state.bounds,
+            )
         elif completed > 0:
-            # Kill path: fold survivors only, server-grouped order.
-            svc_parts = []
-            resp_parts = []
-            witnesses = np.empty(completed)
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            pos = 0
-            for i in range(self.n):
-                reply = state.replies.get(i)
-                if reply is None:
-                    offsets[i + 1] = pos
-                    continue
-                lo, hi = state.bounds[i], state.bounds[i + 1]
-                idx = state.order[lo:hi]
-                svc = np.asarray(reply.service_times)
-                dep = np.asarray(reply.departures)
-                witnesses[pos:pos + idx.size] = state.adm_sizes[idx] / svc
-                svc_parts.append(state.adm_sizes[idx])
-                resp_parts.append(dep - state.adm_times[idx])
-                pos += int(idx.size)
-                offsets[i + 1] = pos
-            controller.observe_services_grouped(witnesses, offsets)
-            resp = np.concatenate(resp_parts)
-            sizes_c = np.concatenate(svc_parts)
-            mrt = float(resp.mean())
-            ratio = float((resp / sizes_c).mean())
-            controller.observe_responses(resp)
+            mrt, ratio = self._fold_survivors(state, completed)
         else:
-            mrt = float("nan")
-            ratio = float("nan")
+            mrt = ratio = float("nan")
 
         if state.lost:
             counters.inc("service.jobs_lost", value=int(state.lost))
-
-        decision = controller.resolve(state.end)
-        if decision.swapped:
-            self.dispatcher = SequenceRoundRobin()
-            self.dispatcher.reset(decision.alphas)
-        self.decisions.append(decision)
-
-        estimate = decision.estimate
-        report = self.report
-        report.windows.append(
-            WindowRecord(
-                start=state.start,
-                end=state.end,
-                offered=state.offered,
-                admitted=n_adm,
-                shed=state.shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=completed,
-                lost=state.lost,
-                servers_up=int(self.up.sum()),
-                reason=decision.reason,
-            )
+        decision = self.step.close(
+            self.report, state.start, state.end, state.offered, n_adm,
+            mrt, ratio, completed=completed, lost=state.lost,
+            servers_up=int(self.up.sum()),
         )
-        report.jobs_offered += state.offered
-        report.jobs_dispatched += n_adm
-        report.jobs_shed += state.shed
-        report.jobs_lost += state.lost
+        self.decisions.append(decision)
         self.windows_done += 1
         if state.final:
-            self._finalize_report()
+            self.report.clean_shutdown = True
+            self.finished = True
         return Resolve(
             window=state.window,
             alphas=tuple(float(a) for a in decision.alphas),
@@ -454,19 +376,42 @@ class OrchestratorShard:
             reason=decision.reason,
             offered=state.offered,
             admitted=n_adm,
-            shed=state.shed,
+            shed=state.offered - n_adm,
             lost=state.lost,
             final=state.final,
             capacity=self.live_capacity(),
         )
 
-    def _finalize_report(self) -> None:
-        report = self.report
-        controller = self.controller
-        report.swaps = controller.swaps
-        report.resolves = controller.resolves
-        report.membership_changes = controller.membership_events
-        report.p50 = controller.p50.value
-        report.p99 = controller.p99.value
-        report.clean_shutdown = True
-        self.finished = True
+    def _fold_survivors(
+        self, state: _WindowState, completed: int
+    ) -> tuple[float, float]:
+        """Kill path: fold the surviving slices in server-grouped order
+        with compacted offsets (lost jobs produce no witnesses and no
+        response samples)."""
+        controller = self.step.controller
+        size_parts = []
+        resp_parts = []
+        witnesses = np.empty(completed)
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        pos = 0
+        for i in range(self.n):
+            reply = state.replies.get(i)
+            if reply is None:
+                offsets[i + 1] = pos
+                continue
+            lo, hi = state.bounds[i], state.bounds[i + 1]
+            idx = state.order[lo:hi]
+            svc = np.asarray(reply.service_times)
+            dep = np.asarray(reply.departures)
+            witnesses[pos:pos + idx.size] = state.adm_sizes[idx] / svc
+            size_parts.append(state.adm_sizes[idx])
+            resp_parts.append(dep - state.adm_times[idx])
+            pos += int(idx.size)
+            offsets[i + 1] = pos
+        controller.observe_services_grouped(witnesses, offsets)
+        resp = np.concatenate(resp_parts)
+        sizes = np.concatenate(size_parts)
+        mrt = float(resp.mean())
+        ratio = float((resp / sizes).mean())
+        controller.observe_responses(resp)
+        return mrt, ratio

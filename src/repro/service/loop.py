@@ -16,6 +16,16 @@ boundary (drain-and-switch).  Admission thinning decided at the last
 re-solve applies to the *next* window's arrivals, mirroring how a real
 controller can only act on what it has already measured.
 
+**One window step.**  :class:`WindowStep` owns the controller, the
+admission gate and the dispatcher and runs the phases every window
+shares: ``admit`` (estimator arrival fold, admission mask), ``fold``
+(speed witnesses and response means of the completed jobs) and
+``close`` (boundary re-solve, dispatcher swap, the window record and
+report totals).  The vectorized window is admit → grouped replay →
+fold → close; the networked orchestrator shard
+(:mod:`repro.net.orchestrator`) calls the same step around its remote
+replay, so the two stacks agree by construction.
+
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
 (or a scripted event list — the chaos harness) the loop runs a
 job-level variant of the window: the pre-generated fault timeline
@@ -30,8 +40,8 @@ immediately under ``on_failure="lose"``).  The dispatch sequence stays
 immutable within the window even when a failure lands mid-window; the
 controller learns of the membership change (failure detector) and the
 *next boundary* re-solve runs out-of-band over the survivors.  The
-fault-free path is a separate, untouched code branch, so fault-free
-runs stay bit-identical.
+fault-mode window admits and closes through the shared step; only its
+job-level dispatch and completion fold are its own.
 
 **Crash safety.**  A :class:`~repro.service.checkpoint.ServiceCheckpoint`
 snapshots the full loop state (controller, gate, bank, dispatcher
@@ -51,7 +61,7 @@ experiment, not just a demo.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,6 +90,7 @@ __all__ = [
     "ServiceReport",
     "SchedulerService",
     "ServiceCrash",
+    "WindowStep",
     "build_controller",
 ]
 
@@ -87,10 +98,9 @@ __all__ = [
 def build_controller(config: "ServiceConfig") -> QuasiStaticController:
     """The controller a service run gets from its config.
 
-    Shared by :class:`SchedulerService` and the networked orchestrator
-    shards (:mod:`repro.net.orchestrator`) so the two stacks can never
-    drift apart in how config knobs map to controller parameters —
-    a prerequisite for the sim-vs-live equivalence guarantee.
+    The :class:`WindowStep` default, so the in-process service and the
+    networked orchestrator shards map config knobs to controller
+    parameters the same way.
     """
     return QuasiStaticController(
         np.asarray(config.speeds, dtype=float),
@@ -229,14 +239,19 @@ class ServiceReport:
 
     @property
     def time_averaged_mrt(self) -> float:
-        """Job-weighted mean response time over the whole run."""
-        total_jobs = sum(w.admitted for w in self.windows)
+        """Job-weighted mean response time over the whole run.
+
+        Each window's MRT covers the jobs it *completed* (fault mode and
+        net kills can admit jobs into a window that completes none), so
+        ``completed`` is the weight; fault-free it equals ``admitted``.
+        """
+        total_jobs = sum(w.completed for w in self.windows)
         if total_jobs == 0:
             return float("nan")
         weighted = sum(
-            w.admitted * w.mean_response_time
+            w.completed * w.mean_response_time
             for w in self.windows
-            if w.admitted > 0
+            if w.completed > 0
         )
         return weighted / total_jobs
 
@@ -272,26 +287,8 @@ class ServiceReport:
             if self.windows
             else [],
             "windows": [
-                {
-                    "start": w.start,
-                    "end": w.end,
-                    "offered": w.offered,
-                    "admitted": w.admitted,
-                    "shed": w.shed,
-                    "mean_response_time": w.mean_response_time,
-                    "mean_response_ratio": w.mean_response_ratio,
-                    "lambda_hat": w.lambda_hat,
-                    "rho_hat": w.rho_hat,
-                    "swapped": w.swapped,
-                    "p50": w.p50,
-                    "p99": w.p99,
-                    "completed": w.completed,
-                    "lost": w.lost,
-                    "retried": w.retried,
-                    "bounced": w.bounced,
-                    "servers_up": w.servers_up,
-                    "reason": w.reason,
-                }
+                {name: getattr(w, name) for name in _WINDOW_FIELDS
+                 if name != "alphas"}
                 for w in self.windows
             ],
         }
@@ -308,28 +305,13 @@ _REPORT_SCALARS = (
 )
 
 
+_WINDOW_FIELDS = tuple(f.name for f in fields(WindowRecord))
+
+
 def _window_state(w: WindowRecord) -> dict:
-    return {
-        "start": w.start,
-        "end": w.end,
-        "offered": w.offered,
-        "admitted": w.admitted,
-        "shed": w.shed,
-        "mean_response_time": w.mean_response_time,
-        "mean_response_ratio": w.mean_response_ratio,
-        "lambda_hat": w.lambda_hat,
-        "rho_hat": w.rho_hat,
-        "swapped": w.swapped,
-        "alphas": [float(a) for a in w.alphas],
-        "p50": w.p50,
-        "p99": w.p99,
-        "completed": w.completed,
-        "lost": w.lost,
-        "retried": w.retried,
-        "bounced": w.bounced,
-        "servers_up": w.servers_up,
-        "reason": w.reason,
-    }
+    out = {name: getattr(w, name) for name in _WINDOW_FIELDS}
+    out["alphas"] = [float(a) for a in w.alphas]
+    return out
 
 
 def _window_from_state(state: dict) -> WindowRecord:
@@ -350,6 +332,176 @@ def _report_from_state(config: ServiceConfig, state: dict) -> ServiceReport:
         setattr(report, name, state[name])
     report.windows = [_window_from_state(w) for w in state["windows"]]
     return report
+
+
+class WindowStep:
+    """One control window of the ORR policy, sans IO.
+
+    Owns the quasi-static controller, the admission gate and the
+    Algorithm 2 dispatcher, and runs the three phases every window
+    shares: :meth:`admit` thins the offered arrivals, :meth:`fold`
+    feeds the window's completions back to the estimators, and
+    :meth:`close` re-solves at the boundary and records the window.
+    Placement and replay sit between admit and fold and belong to the
+    caller — :class:`SchedulerService` replays in process, the networked
+    orchestrator shard (:mod:`repro.net.orchestrator`) fans dispatches
+    out to server stubs — so the two stacks run this one step.
+
+    ``reference`` selects the live per-job Algorithm 2 scan instead of
+    the memoized sequence (see :class:`SchedulerService`).
+    """
+
+    def __init__(
+        self,
+        config: ServiceConfig,
+        controller: QuasiStaticController | None = None,
+        *,
+        reference: bool = False,
+    ):
+        self.config = config
+        self.controller = controller or build_controller(config)
+        self.reference = bool(reference)
+        self.gate = AdmissionGate()
+        self.dispatcher = self.new_dispatcher()
+        self.dispatcher.reset(self.controller.alphas)
+
+    def new_dispatcher(self):
+        """A fresh dispatcher for the configured execution mode.
+
+        Both classes walk the identical Algorithm 2 sequence; the fast
+        path serves it as memoized slices (O(window) per batch), the
+        reference path runs the live per-job scan.
+        """
+        if self.reference:
+            return RoundRobinDispatcher()
+        return SequenceRoundRobin()
+
+    def admit(
+        self, times: np.ndarray, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observe the offered arrivals, return the admitted ones."""
+        controller = self.controller
+        # The estimator sees the *offered* stream — shed jobs included —
+        # because sizing decisions must track demand, not what survived
+        # the previous shedding decision.
+        controller.observe_arrivals(times, sizes)
+        mask = self.gate.admit_mask(times.size, 1.0 - controller.shed_fraction)
+        if mask.all():
+            # The fault-free default: nothing shed, no fancy-index copy.
+            return times, sizes
+        return times[mask], sizes[mask]
+
+    def fold(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        departures: np.ndarray,
+        service_times: np.ndarray,
+        order: np.ndarray,
+        offsets: np.ndarray,
+    ) -> tuple[float, float]:
+        """Fold completed jobs into the estimators.
+
+        All four job arrays are in arrival order; *order*/*offsets* are
+        the stable group-by-server partition of the replay.  Returns the
+        window's mean response time and mean response ratio (NaN when
+        nothing completed).
+        """
+        n = int(times.size)
+        if not n:
+            return float("nan"), float("nan")
+        controller = self.controller
+        a = ckernel.arena()
+        # Per-server speed witnesses, folded in server-grouped order
+        # (identical EWMA state: per-server estimators are independent
+        # and the stable grouping preserves each server's observation
+        # order).
+        wit = a.f64("loop.wit", n)
+        np.divide(sizes, service_times, out=wit)
+        witg = a.f64("loop.witg", n)
+        np.take(wit, order, out=witg)
+        controller.observe_services_grouped(witg, offsets)
+        # Response means in arrival order: numpy's pairwise summation
+        # makes the reduction order part of the result.
+        response = a.f64("loop.resp", n)
+        np.subtract(departures, times, out=response)
+        mrt = float(response.mean())
+        ratio_buf = a.f64("loop.ratio", n)
+        np.divide(response, sizes, out=ratio_buf)
+        ratio = float(ratio_buf.mean())
+        controller.observe_responses(response)
+        return mrt, ratio
+
+    def close(
+        self,
+        report: ServiceReport,
+        start: float,
+        end: float,
+        offered: int,
+        admitted: int,
+        mrt: float,
+        ratio: float,
+        *,
+        completed: int | None = None,
+        lost: int = 0,
+        retried: int = 0,
+        bounced: int = 0,
+        servers_up: int | None = None,
+    ) -> ControlDecision:
+        """Re-solve at the boundary, record the window, update totals.
+
+        ``completed`` defaults to ``admitted`` and ``servers_up`` to the
+        whole bank — the fault-free case.
+        """
+        controller = self.controller
+        # Drain-and-switch: the controller may change the allocation
+        # only here, between windows; a swap restarts the sequence.
+        decision = controller.resolve(end)
+        if decision.swapped:
+            self.dispatcher = self.new_dispatcher()
+            self.dispatcher.reset(decision.alphas)
+
+        shed = offered - admitted
+        counters.inc("service.jobs_dispatched", value=admitted)
+        if shed:
+            counters.inc("service.jobs_shed", value=shed)
+        estimate = decision.estimate
+        report.windows.append(
+            WindowRecord(
+                start=start,
+                end=end,
+                offered=offered,
+                admitted=admitted,
+                shed=shed,
+                mean_response_time=mrt,
+                mean_response_ratio=ratio,
+                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
+                rho_hat=(estimate.utilization if estimate else float("nan")),
+                swapped=decision.swapped,
+                alphas=decision.alphas,
+                p50=decision.window_p50,
+                p99=decision.window_p99,
+                completed=admitted if completed is None else completed,
+                lost=lost,
+                retried=retried,
+                bounced=bounced,
+                servers_up=(
+                    len(self.config.speeds) if servers_up is None else servers_up
+                ),
+                reason=decision.reason,
+            )
+        )
+        report.jobs_offered += offered
+        report.jobs_dispatched += admitted
+        report.jobs_shed += shed
+        report.jobs_lost += lost
+        report.jobs_retried += retried
+        report.swaps = controller.swaps
+        report.resolves = controller.resolves
+        report.membership_changes = controller.membership_events
+        report.p50 = controller.p50.value
+        report.p99 = controller.p99.value
+        return decision
 
 
 class SchedulerService:
@@ -393,12 +545,8 @@ class SchedulerService:
     ):
         self.config = config
         self.source = source
-        self.controller = controller or build_controller(config)
-        self.reference = bool(reference)
+        self.step = WindowStep(config, controller, reference=reference)
         self.bank = ServerBank(config.speeds)
-        self.gate = AdmissionGate()
-        self.dispatcher = self._make_dispatcher()
-        self.dispatcher.reset(self.controller.alphas)
 
         timeline = fault_events
         if timeline is None and config.faults is not None and config.faults.enabled:
@@ -431,16 +579,13 @@ class SchedulerService:
         self._start_window = 0
         self._restored_report: ServiceReport | None = None
 
-    def _make_dispatcher(self):
-        """A fresh dispatcher for the configured execution mode.
+    @property
+    def controller(self) -> QuasiStaticController:
+        return self.step.controller
 
-        Both classes walk the identical Algorithm 2 sequence; the fast
-        path serves it as memoized slices (O(window) per batch), the
-        reference path runs the live per-job scan.
-        """
-        if self.reference:
-            return RoundRobinDispatcher()
-        return SequenceRoundRobin()
+    @property
+    def dispatcher(self):
+        return self.step.dispatcher
 
     # ------------------------------------------------------------------
     # The run loop
@@ -470,12 +615,11 @@ class SchedulerService:
                 start = k * cp
                 if self._faulted:
                     self._run_window_faulted(start, end, report)
-                elif self.reference:
+                elif self.step.reference:
                     self._run_window_reference(start, end, report)
                 else:
                     self._run_window(start, end, report)
                 done = k + 1
-                self._refresh_totals(report)
                 if (
                     self.checkpoint is not None
                     and done < n_windows
@@ -488,21 +632,11 @@ class SchedulerService:
                     and done - self._start_window >= self.crash_after
                 ):
                     raise ServiceCrash(done)
-        self._refresh_totals(report)
         report.clean_shutdown = True
         return report
 
-    def _refresh_totals(self, report: ServiceReport) -> None:
-        report.swaps = self.controller.swaps
-        report.resolves = self.controller.resolves
-        report.membership_changes = self.controller.membership_events
-        report.jobs_pending_retry = len(self._pending)
-        report.jobs_in_flight = self.bank.inflight_count()
-        report.p50 = self.controller.p50.value
-        report.p99 = self.controller.p99.value
-
     # ------------------------------------------------------------------
-    # Fault-free window (bit-identical to the pre-fault service)
+    # Fault-free window
     # ------------------------------------------------------------------
 
     def _run_window(self, start: float, end: float, report: ServiceReport) -> None:
@@ -515,105 +649,38 @@ class SchedulerService:
         folds, grouped replay) or a formulation proven equal on the
         values the loop produces (the gate's cumulative-sum mask).
         """
-        controller = self.controller
+        step = self.step
         times, sizes = self.source.jobs_until(end)
-        # The estimator sees the *offered* stream — shed jobs included —
-        # because sizing decisions must track demand, not what survived
-        # the previous shedding decision.
-        controller.observe_arrivals(times, sizes)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        if mask.all():
-            # The fault-free default: nothing shed, no fancy-index copy.
-            adm_times = times
-            adm_sizes = sizes
-        else:
-            adm_times = times[mask]
-            adm_sizes = sizes[mask]
-
-        # Dispatch under the window's (immutable) sequence, replay with
-        # carried backlog, and feed completions back to the estimator.
-        targets = self.dispatcher.select_batch(adm_sizes)
+        adm_times, adm_sizes = step.admit(times, sizes)
+        # Dispatch under the window's (immutable) sequence and replay
+        # with carried backlog.
+        targets = step.dispatcher.select_batch(adm_sizes)
         departures, service_times, order, offsets = self.bank.replay_window_grouped(
             targets, adm_times, adm_sizes
         )
-
-        shed = int(times.size - adm_times.size)
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
-
-        n_adm = int(adm_times.size)
-        if n_adm:
-            a = ckernel.arena()
-            # Per-server speed witnesses, folded in server-grouped order
-            # (identical EWMA state: per-server estimators are
-            # independent and the stable grouping preserves each
-            # server's observation order).
-            wit = a.f64("loop.wit", n_adm)
-            np.divide(adm_sizes, service_times, out=wit)
-            witg = a.f64("loop.witg", n_adm)
-            np.take(wit, order, out=witg)
-            controller.observe_services_grouped(witg, offsets)
-            response = a.f64("loop.resp", n_adm)
-            np.subtract(departures, adm_times, out=response)
-            mrt = float(response.mean())
-            ratio_buf = a.f64("loop.ratio", n_adm)
-            np.divide(response, adm_sizes, out=ratio_buf)
-            ratio = float(ratio_buf.mean())
-            controller.observe_responses(response)
-        else:
-            mrt = float("nan")
-            ratio = float("nan")
-
-        # Drain-and-switch: the controller may change the allocation
-        # only here, between windows; a swap restarts the sequence.
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=int(adm_times.size),
-                servers_up=len(self.config.speeds),
-                reason=decision.reason,
-            )
+        mrt, ratio = step.fold(
+            adm_times, adm_sizes, departures, service_times, order, offsets
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
+        step.close(
+            report, start, end, int(times.size), int(adm_times.size), mrt, ratio
+        )
 
     def _run_window_reference(
         self, start: float, end: float, report: ServiceReport
     ) -> None:
         """The original per-job fault-free window (oracle path).
 
-        Kept verbatim — scalar admission accumulator, per-job estimator
-        updates, live Algorithm 2 scans, fresh replay outputs — so the
-        property tests and ``bench --serve`` can pin the vectorized
-        path against it, report for report.
+        Kept verbatim up to the boundary — scalar admission accumulator,
+        per-job estimator updates, live Algorithm 2 scans, fresh replay
+        outputs — so the property tests and ``bench --serve`` can pin
+        the vectorized path against it, report for report.
         """
         controller = self.controller
         times, sizes = self.source.jobs_until(end)
         for t, x in zip(times, sizes):
             controller.observe_arrival(t, x)
         keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask_scalar(times.size, keep)
+        mask = self.step.gate.admit_mask_scalar(times.size, keep)
         adm_times = times[mask]
         adm_sizes = sizes[mask]
 
@@ -624,11 +691,6 @@ class SchedulerService:
         for srv, x, svc in zip(targets, adm_sizes, service_times):
             controller.observe_service(int(srv), float(x), float(svc))
 
-        shed = int(times.size - adm_times.size)
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
-
         if adm_times.size:
             response = departures - adm_times
             mrt = float(response.mean())
@@ -638,36 +700,9 @@ class SchedulerService:
         else:
             mrt = float("nan")
             ratio = float("nan")
-
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=int(adm_times.size),
-                servers_up=len(self.config.speeds),
-                reason=decision.reason,
-            )
+        self.step.close(
+            report, start, end, int(times.size), int(adm_times.size), mrt, ratio
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
 
     # ------------------------------------------------------------------
     # Fault-mode window (job-level dispatch, segmented by fault events)
@@ -701,13 +736,7 @@ class SchedulerService:
     ) -> None:
         controller = self.controller
         times, sizes = self.source.jobs_until(end)
-        for t, x in zip(times, sizes):
-            controller.observe_arrival(t, x)
-        keep = 1.0 - controller.shed_fraction
-        mask = self.gate.admit_mask(times.size, keep)
-        adm_times = times[mask]
-        adm_sizes = sizes[mask]
-        shed = int(times.size - adm_times.size)
+        adm_times, adm_sizes = self.step.admit(times, sizes)
 
         # Fold due retries into the window's stream: a retry scheduled
         # for time d re-enters the sequence as an arrival at max(d,
@@ -816,10 +845,6 @@ class SchedulerService:
                 )
                 self._apply_degrade(ev.server, ev.time)
 
-        counters.inc("service.jobs_dispatched", value=int(adm_times.size))
-        if shed:
-            counters.inc("service.jobs_shed", value=shed)
-
         # Completion-based accounting: response times span retries
         # (departure minus *original* arrival) and land in the window
         # the job actually finished in.
@@ -835,40 +860,13 @@ class SchedulerService:
         mrt = resp_sum / n_completed if n_completed else float("nan")
         ratio = ratio_sum / n_completed if n_completed else float("nan")
 
-        decision: ControlDecision = controller.resolve(end)
-        if decision.swapped:
-            self.dispatcher = self._make_dispatcher()
-            self.dispatcher.reset(decision.alphas)
-
-        estimate = decision.estimate
-        report.windows.append(
-            WindowRecord(
-                start=start,
-                end=end,
-                offered=int(times.size),
-                admitted=int(adm_times.size),
-                shed=shed,
-                mean_response_time=mrt,
-                mean_response_ratio=ratio,
-                lambda_hat=(estimate.arrival_rate if estimate else float("nan")),
-                rho_hat=(estimate.utilization if estimate else float("nan")),
-                swapped=decision.swapped,
-                alphas=decision.alphas,
-                p50=decision.window_p50,
-                p99=decision.window_p99,
-                completed=n_completed,
-                lost=lost,
-                retried=retried,
-                bounced=bounced,
-                servers_up=int(np.count_nonzero(self.bank.up)),
-                reason=decision.reason,
-            )
+        report.jobs_pending_retry = len(self._pending)
+        report.jobs_in_flight = self.bank.inflight_count()
+        self.step.close(
+            report, start, end, int(times.size), int(adm_times.size), mrt, ratio,
+            completed=n_completed, lost=lost, retried=retried, bounced=bounced,
+            servers_up=int(np.count_nonzero(self.bank.up)),
         )
-        report.jobs_offered += int(times.size)
-        report.jobs_dispatched += int(adm_times.size)
-        report.jobs_shed += shed
-        report.jobs_lost += lost
-        report.jobs_retried += retried
 
     # ------------------------------------------------------------------
     # Crash-safe checkpointing
@@ -880,7 +878,7 @@ class SchedulerService:
             "next_window": int(next_window),
             "config": self._config_fingerprint(),
             "controller": self.controller.state_dict(),
-            "gate": self.gate.state_dict(),
+            "gate": self.step.gate.state_dict(),
             "bank": self.bank.state_dict(),
             "dispatcher": self.dispatcher.state_dict(),
             # External format unchanged from the list era: 4-field
@@ -916,10 +914,10 @@ class SchedulerService:
                 f"{state['config']} != {fingerprint}"
             )
         self.controller.load_state(state["controller"])
-        self.gate.load_state(state["gate"])
+        self.step.gate.load_state(state["gate"])
         self.bank.load_state(state["bank"])
-        self.dispatcher = self._make_dispatcher()
-        self.dispatcher.load_state(state["dispatcher"])
+        self.step.dispatcher = self.step.new_dispatcher()
+        self.step.dispatcher.load_state(state["dispatcher"])
         # Re-number insertion seqs in checkpointed (due, schedule)
         # order: future pops keep breaking due-time ties exactly as the
         # uninterrupted run would.

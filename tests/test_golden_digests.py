@@ -1,8 +1,9 @@
 """Golden seed-stability digests: pinned SHAs over packed result vectors.
 
-Every digest below is the SHA-256 of the little-endian float64 bytes of
-the pinned-config result vectors (see :mod:`repro.obs.digest`).  They
-freeze two things at once:
+The simulation digests below are the SHA-256 of the little-endian
+float64 bytes of the pinned-config result vectors (see
+:mod:`repro.obs.digest`); the serve and net digests at the end hash
+canonical report JSON.  They freeze two things at once:
 
 * **seed stability** — the RNG layout (base_seed 2000, spawn-key
   substreams) keeps producing the same trajectories release to release;
@@ -17,13 +18,22 @@ update the constant — and bump ``KERNEL_VERSION`` if replay bits moved.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.core import get_policy
 from repro.core.evaluate import run_policy_once
+from repro.distributions import distribution_from_mean_cv
 from repro.experiments.base import SCALES
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3
+from repro.faults import FaultConfig
+from repro.net import run_in_process
 from repro.obs.digest import figure2_digest, results_digest, sweep_digest
+from repro.service import SchedulerService, ServiceConfig, SyntheticJobSource
 from repro.sim import SimulationConfig, ckernel
+from repro.sim.arrivals import Workload
+from repro.sim.modulated import step_profile
 
 SMOKE = SCALES["smoke"]
 FIGURE3_KWARGS = dict(fast_speeds=(1.0, 10.0), policies=("WRR", "ORR"))
@@ -87,3 +97,139 @@ class TestOtherGoldenDigests:
             config, get_policy("ORR"), seed=SMOKE.base_seed
         )
         assert results_digest(result) == SINGLE_REPLICATION_DIGEST
+
+
+# ----------------------------------------------------------------------
+# Serve and net report digests
+# ----------------------------------------------------------------------
+#
+# SHA-256 of the canonical ``as_dict()`` JSON (sorted keys, compact
+# separators) of pinned serving runs.  They freeze every window record
+# of the service loop in its three modes (vectorized, reference,
+# fault-mode) and of the networked orchestrator (sharded, kill, and
+# kill+rejoin), so any refactor of the window step that moves a bit
+# fails here.  The fault-mode and net digests leave out
+# ``time_averaged_mrt``: it is derived from the window records, which
+# stay pinned, and its weighting rule is tested on its own in
+# ``tests/test_service_faults.py``.
+
+#: Fault-free serve on a stepped workload (vectorized == reference).
+SERVE_DIGEST = (
+    "835660adde2280c582ff5d35d43a31caeeb85c808543517483a3db63553aeac6"
+)
+#: Serve with SLO-targeted admission shedding engaged.
+SERVE_SLO_DIGEST = (
+    "36da29439556b353be461ba34984e279a8fe1e3de4126cdef0b8c1e6d78c7527"
+)
+#: Fault-mode serve (MTBF 300, MTTR 100, retries), MRT summary dropped.
+SERVE_FAULTS_DIGEST = (
+    "6a5baa5d5f143b8da0cbc1e9659f7b317ee39be44035fef1d8f68f7aa3a91470"
+)
+#: Two-shard in-process net run, one report per shard.
+NET_SHARDED_DIGEST = (
+    "b905c450d0ca261578d52d3b87dd55c8d11a93cc1ae2dad0c50106e9a6aff375"
+)
+#: In-process net run with server 2 killed after window 9.
+NET_KILL_DIGEST = (
+    "5c87ec7d7299de433d5e217545e778206c8c15f0a101d4f5a49ac3547d92877a"
+)
+#: The kill run with server 2 re-registering for window 14.
+NET_REJOIN_DIGEST = (
+    "9df05e975168b1dd7c90f98bf373527dbae22f74eaaabe35434cf268539cbf2e"
+)
+
+SERVE_SPEEDS = (1.0, 2.0, 3.0)
+NET_SPEEDS = (1.0, 2.0, 3.0, 2.0)
+
+
+def _report_digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _without_mrt(report) -> dict:
+    out = report.as_dict()
+    del out["time_averaged_mrt"]
+    return out
+
+
+def _source(speeds, rho, seed, profile=None):
+    workload = Workload(
+        total_speed=sum(speeds),
+        utilization=rho,
+        size_distribution=distribution_from_mean_cv(1.0, 1.0),
+        rate_profile=profile,
+    )
+    return SyntheticJobSource(workload, seed)
+
+
+def _serve_config(**kw):
+    kw.setdefault("speeds", SERVE_SPEEDS)
+    kw.setdefault("duration", 2000.0)
+    kw.setdefault("control_period", 100.0)
+    return ServiceConfig(**kw)
+
+
+def _step_source():
+    return _source(
+        SERVE_SPEEDS, 0.5, 1,
+        step_profile(step_time=1000.0, factor=1.5, horizon=2000.0),
+    )
+
+
+def _net_config():
+    return ServiceConfig(
+        speeds=NET_SPEEDS, duration=2000.0, control_period=100.0
+    )
+
+
+class TestServeGoldenDigests:
+    def test_fault_free(self):
+        report = SchedulerService(_serve_config(), _step_source()).run()
+        assert report.swaps > 0
+        assert _report_digest(report.as_dict()) == SERVE_DIGEST
+
+    def test_reference_path(self):
+        report = SchedulerService(
+            _serve_config(), _step_source(), reference=True
+        ).run()
+        assert _report_digest(report.as_dict()) == SERVE_DIGEST
+
+    def test_slo_shedding(self):
+        report = SchedulerService(
+            _serve_config(slo_target=4.0), _source(SERVE_SPEEDS, 0.9, 5)
+        ).run()
+        assert report.jobs_shed > 0
+        assert _report_digest(report.as_dict()) == SERVE_SLO_DIGEST
+
+    def test_fault_mode(self):
+        config = _serve_config(
+            speeds=NET_SPEEDS, faults=FaultConfig(mtbf=300.0, mttr=100.0)
+        )
+        report = SchedulerService(config, _source(NET_SPEEDS, 0.6, 21)).run()
+        assert report.jobs_retried > 0
+        assert _report_digest(_without_mrt(report)) == SERVE_FAULTS_DIGEST
+
+
+class TestNetGoldenDigests:
+    def test_two_shards_in_process(self):
+        net = run_in_process(
+            _net_config(), _source(NET_SPEEDS, 0.6, 21), n_shards=2
+        )
+        payload = [_without_mrt(r) for r in net.reports]
+        assert _report_digest(payload) == NET_SHARDED_DIGEST
+
+    def test_kill(self):
+        net = run_in_process(
+            _net_config(), _source(NET_SPEEDS, 0.6, 21), kill={2: 9}
+        )
+        assert net.report.jobs_lost > 0
+        assert _report_digest(_without_mrt(net.report)) == NET_KILL_DIGEST
+
+    def test_kill_and_rejoin(self):
+        net = run_in_process(
+            _net_config(), _source(NET_SPEEDS, 0.6, 21),
+            kill={2: 9}, rejoin={2: 14},
+        )
+        assert net.report.membership_changes == 2
+        assert _report_digest(_without_mrt(net.report)) == NET_REJOIN_DIGEST

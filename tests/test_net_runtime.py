@@ -13,9 +13,11 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro.distributions import distribution_from_mean_cv
 from repro.experiments.extension_chaos import SCENARIOS
+from repro.faults import FaultConfig
 from repro.faults.aware import survivor_fractions
 from repro.net import run_in_process, run_sockets
 from repro.obs import counters
@@ -267,3 +269,23 @@ class TestBackpressure:
         net = run_in_process(config, make_source())
         shard = net.shards[0]
         assert set(shard.last_heartbeat) == set(range(len(SPEEDS)))
+
+
+class TestFaultConfigRefused:
+    """The net layer has no retry or degrade path: a config asking for
+    injected faults must be refused, not silently run fault-free."""
+
+    def test_in_process_refuses_enabled_faults(self):
+        config = make_config(faults=FaultConfig(mtbf=300.0, mttr=100.0))
+        with pytest.raises(ValueError, match="faults"):
+            run_in_process(config, make_source())
+
+    def test_sockets_refuse_enabled_faults(self):
+        config = make_config(faults=FaultConfig(mtbf=300.0, mttr=100.0))
+        with pytest.raises(ValueError, match="faults"):
+            asyncio.run(run_sockets(config, make_source()))
+
+    def test_disabled_fault_config_runs_unchanged(self):
+        plain = run_in_process(make_config(), make_source())
+        inert = run_in_process(make_config(faults=FaultConfig()), make_source())
+        assert report_bytes(inert.report) == report_bytes(plain.report)

@@ -252,6 +252,29 @@ class TestFaultScenarios:
         assert "p50" in payload and "p99" in payload
         assert all("p50" in w and "p99" in w for w in payload["windows"])
 
+    def test_time_averaged_mrt_weights_by_completions(self):
+        # A total outage admits jobs into windows that complete none;
+        # their NaN window MRT must not poison the run's job-weighted
+        # mean, which is taken over completions.
+        speeds = (1.0, 2.0)
+        config = ServiceConfig(
+            speeds=speeds, duration=3000.0, control_period=100.0
+        )
+        events = [FaultEvent(1000.0, "down", s) for s in (0, 1)] + [
+            FaultEvent(1350.0, "up", s) for s in (0, 1)
+        ]
+        workload = Workload(total_speed=sum(speeds), utilization=0.6)
+        report = SchedulerService(
+            config, SyntheticJobSource(workload, 5), fault_events=events
+        ).run()
+        assert any(w.admitted > 0 and w.completed == 0 for w in report.windows)
+        done = [w for w in report.windows if w.completed > 0]
+        expected = sum(w.completed * w.mean_response_time for w in done) / sum(
+            w.completed for w in done
+        )
+        assert math.isfinite(report.time_averaged_mrt)
+        assert report.time_averaged_mrt == expected
+
     def test_fault_free_run_has_no_fault_accounting(self):
         report = make_service(events=None).run()
         assert report.jobs_lost == 0
