@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per grid task; a stuck task counts as "
-             "crashed (parallel runs only)",
+             "crashed",
     )
     run_p.add_argument(
         "--resume",
@@ -1222,20 +1222,29 @@ def _cmd_bench(args) -> int:
     # --- cell batching: shared streams + batched replay ---------------
     # Both sweeps below run warm (the sweep section above already paid
     # the one-time memo and kernel warm-up), so the flat-vs-cell timing
-    # compares steady-state costs rather than cold-start order.  Both
-    # disciplines are measured: the headline ``cell_speedup`` is the
-    # FCFS figure — the fully compiled kernel-v4 pipeline — while
-    # ``cell_speedup_ps`` tracks the PS composition, whose per-plan
-    # busy-period replay keeps a structurally lower flat:cell ratio
-    # (see DESIGN.md §7.1).  The two legs of each ratio are timed
-    # *interleaved* (flat, cell, flat, cell, ...) and the minima taken:
-    # the legs are sub-second, ratios of minima damp scheduler noise,
-    # and interleaving keeps slow system drift from biasing one leg —
-    # the 2.0x floor gates a steady-state property, not a lucky draw.
+    # compares steady-state costs rather than cold-start order.  The
+    # flat arm runs the cell sweep's (x, policy, r) members one
+    # replication at a time through the run_replication_grid oracle and
+    # folds them into the same series.  Both disciplines are measured:
+    # the headline ``cell_speedup`` is the FCFS figure — the fully
+    # compiled kernel-v4 pipeline — while ``cell_speedup_ps`` tracks
+    # the PS composition, whose per-plan busy-period replay keeps a
+    # structurally lower flat:cell ratio (see DESIGN.md §7.1).  The two
+    # legs of each ratio are timed *interleaved* (flat, cell, flat,
+    # cell, ...) and the minima taken: the legs are sub-second, ratios
+    # of minima damp scheduler noise, and interleaving keeps slow
+    # system drift from biasing one leg — the 2.0x floor gates a
+    # steady-state property, not a lucky draw.
     import dataclasses as _dc
 
-    from .core import evaluate_cell
+    from .core import default_cache, evaluate_cell
+    from .core.executor import (
+        ReplicationTask,
+        run_replication_grid,
+        summarize_outcomes,
+    )
     from .experiments.base import run_policy_sweep
+    from .rng import replication_seeds
 
     def _best_pair(fn_a, fn_b, repeats=7):
         best_a = best_b = float("inf")
@@ -1247,17 +1256,34 @@ def _cmd_bench(args) -> int:
             best_b = min(best_b, t)
         return out_a, best_a, out_b, best_b
 
-    def _ps_sweep(cell_batch):
-        return run_figure3(scale, cell_batch=cell_batch, **kwargs)
+    def _flat_arm(sweep):
+        """*sweep*'s members run by the per-replication oracle, as
+        policy → mean-response-ratio series."""
+        seeds = replication_seeds(scale.base_seed, scale.replications)
+        tasks = [
+            ReplicationTask(key=(x, p, r), config=sweep.cells[x][p].config,
+                            policy_name=p, estimation_error=None, seed=seed)
+            for x in sweep.x_values
+            for p in sweep.policies
+            for r, seed in enumerate(seeds)
+        ]
+        outcomes = run_replication_grid(tasks, cache=default_cache()).outcomes
+        return {
+            p: np.asarray([
+                summarize_outcomes(
+                    p, sweep.cells[x][p].config,
+                    [outcomes[(x, p, r)] for r in range(len(seeds))],
+                ).mean_response_ratio.mean
+                for x in sweep.x_values
+            ])
+            for p in sweep.policies
+        }
 
     flat, flat_ps_s, cellr, cell_ps_s = _best_pair(
-        lambda: _ps_sweep(False), lambda: _ps_sweep(True)
+        lambda: _flat_arm(serial), lambda: run_figure3(scale, **kwargs)
     )
     cell_identical_ps = all(
-        np.array_equal(
-            cellr.series(p, "mean_response_ratio"),
-            flat.series(p, "mean_response_ratio"),
-        )
+        np.array_equal(cellr.series(p, "mean_response_ratio"), flat[p])
         and np.array_equal(
             cellr.series(p, "mean_response_ratio"),
             serial.series(p, "mean_response_ratio"),
@@ -1268,22 +1294,19 @@ def _cmd_bench(args) -> int:
     def _fcfs_config(x):
         return _dc.replace(skewness_config(x, 0.70), discipline="fcfs")
 
-    def _fcfs_sweep(cell_batch):
+    def _fcfs_sweep():
         return run_policy_sweep(
             "bench-cell-fcfs", "bench cell (fcfs)", "x",
             list(kwargs["fast_speeds"]), _fcfs_config, kwargs["policies"],
-            scale, cell_batch=cell_batch,
+            scale,
         )
 
-    _fcfs_sweep(True)  # warm the fcfs leg (kernel + sequence memos)
+    fcfs_ref = _fcfs_sweep()  # warm the fcfs leg (kernel + sequence memos)
     flat_f, flat_s, cell_f, cell_s = _best_pair(
-        lambda: _fcfs_sweep(False), lambda: _fcfs_sweep(True)
+        lambda: _flat_arm(fcfs_ref), _fcfs_sweep
     )
     cell_identical_fcfs = all(
-        np.array_equal(
-            cell_f.series(p, "mean_response_ratio"),
-            flat_f.series(p, "mean_response_ratio"),
-        )
+        np.array_equal(cell_f.series(p, "mean_response_ratio"), flat_f[p])
         for p in kwargs["policies"]
     )
     cell_identical = cell_identical_ps and cell_identical_fcfs
@@ -1355,12 +1378,7 @@ def _cmd_bench(args) -> int:
 
     # --- executor: real workers vs the auto-serial small-task path ----
     from .core import executor as executor_mod
-    from .core.executor import (
-        ReplicationTask,
-        run_replication_grid,
-        shutdown_shared_executor,
-    )
-    from .rng import replication_seeds
+    from .core.executor import shutdown_shared_executor
 
     small_config = SimulationConfig(
         speeds=base.speeds, utilization=base.utilization,

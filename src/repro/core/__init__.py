@@ -18,6 +18,7 @@ from .executor import (
     CellTask,
     GridReport,
     ReplicationTask,
+    evaluate_policy_parallel,
     resolve_n_jobs,
     run_cell_grid,
     run_replication_grid,
@@ -25,7 +26,6 @@ from .executor import (
     shutdown_shared_executor,
     summarize_outcomes,
 )
-from .parallel import evaluate_policy_parallel
 from .policies import PAPER_POLICIES, SchedulingPolicy, get_policy, policy_names
 
 __all__ = [

@@ -43,6 +43,7 @@ __all__ = [
     "evaluate_cell",
     "evaluate_cell_to_precision",
     "run_policy_once",
+    "summarize_outcomes",
 ]
 
 
@@ -116,6 +117,57 @@ def run_policy_once(
     return result
 
 
+def _result_outcome(result: SimulationResults) -> tuple:
+    """The per-replication outcome tuple stored in caches/checkpoints:
+    (mean_response_time, mean_response_ratio, fairness, jobs,
+    dispatch_fractions, loss_rate)."""
+    return (
+        result.metrics.mean_response_time,
+        result.metrics.mean_response_ratio,
+        result.metrics.fairness,
+        result.metrics.jobs,
+        result.dispatch_fractions,
+        result.loss_rate,
+    )
+
+
+def summarize_outcomes(
+    policy_name: str,
+    config: SimulationConfig,
+    outcomes,
+    *,
+    confidence: float = 0.95,
+) -> PolicyEvaluation:
+    """Fold per-replication outcome tuples (in seed order) into a
+    :class:`PolicyEvaluation`.  Every evaluator folds through here, so
+    serial, cell-batched and grid runs summarize bit-identically; the
+    loss rate is populated whenever the configuration injects faults."""
+    outcomes = list(outcomes)
+    fractions = np.zeros(config.n)
+    for o in outcomes:
+        fractions += o[4]
+    loss = None
+    if config.faults is not None and config.faults.enabled:
+        loss = summarize_replications(
+            [o[5] if len(o) > 5 else 0.0 for o in outcomes], confidence
+        )
+    return PolicyEvaluation(
+        policy_name=policy_name,
+        config=config,
+        mean_response_time=summarize_replications(
+            [o[0] for o in outcomes], confidence
+        ),
+        mean_response_ratio=summarize_replications(
+            [o[1] for o in outcomes], confidence
+        ),
+        fairness=summarize_replications([o[2] for o in outcomes], confidence),
+        dispatch_fractions=fractions / len(outcomes),
+        replications=len(outcomes),
+        jobs_per_replication=float(np.mean([o[3] for o in outcomes])),
+        loss_rate=loss,
+    )
+
+
 def evaluate_policy(
     config: SimulationConfig,
     policy: SchedulingPolicy,
@@ -128,28 +180,13 @@ def evaluate_policy(
     """Replicate :func:`run_policy_once` and summarize the paper metrics."""
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
-    seeds = replication_seeds(base_seed, replications)
-    times, ratios, fairs, jobs = [], [], [], []
-    fractions = np.zeros(config.n)
-    for seed in seeds:
-        result = run_policy_once(
-            config, policy, seed=seed, force_engine=force_engine
+    outcomes = [
+        _result_outcome(
+            run_policy_once(config, policy, seed=seed, force_engine=force_engine)
         )
-        times.append(result.metrics.mean_response_time)
-        ratios.append(result.metrics.mean_response_ratio)
-        fairs.append(result.metrics.fairness)
-        jobs.append(result.metrics.jobs)
-        fractions += result.dispatch_fractions
-    return PolicyEvaluation(
-        policy_name=policy.name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / replications,
-        replications=replications,
-        jobs_per_replication=float(np.mean(jobs)),
-    )
+        for seed in replication_seeds(base_seed, replications)
+    ]
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
 def evaluate_policy_to_precision(
@@ -189,11 +226,8 @@ def evaluate_policy_to_precision(
             f"need 1 <= min_replications <= max_replications, got "
             f"{min_replications}/{max_replications}"
         )
-    seeds = replication_seeds(base_seed, max_replications)
-    times, ratios, fairs, jobs = [], [], [], []
-    fractions = np.zeros(config.n)
-    done = 0
-    for seed in seeds:
+    outcomes = []
+    for seed in replication_seeds(base_seed, max_replications):
         # Cache entries are keyed like the grid executor's (registry
         # policies carry no estimation error, so keys coincide and the
         # two paths share entries).
@@ -202,48 +236,17 @@ def evaluate_policy_to_precision(
             if cache is not None
             else None
         )
-        hit = cache.get(key) if key is not None else None
-        if hit is not None:
-            time_, ratio, fair, jobs_n, fracs = hit[:5]
-            times.append(time_)
-            ratios.append(ratio)
-            fairs.append(fair)
-            jobs.append(jobs_n)
-            fractions += np.asarray(fracs, dtype=float)
-        else:
-            result = run_policy_once(config, policy, seed=seed)
-            times.append(result.metrics.mean_response_time)
-            ratios.append(result.metrics.mean_response_ratio)
-            fairs.append(result.metrics.fairness)
-            jobs.append(result.metrics.jobs)
-            fractions += result.dispatch_fractions
+        outcome = cache.get(key) if key is not None else None
+        if outcome is None:
+            outcome = _result_outcome(run_policy_once(config, policy, seed=seed))
             if key is not None:
-                cache.put(
-                    key,
-                    (
-                        result.metrics.mean_response_time,
-                        result.metrics.mean_response_ratio,
-                        result.metrics.fairness,
-                        result.metrics.jobs,
-                        result.dispatch_fractions,
-                        result.loss_rate,
-                    ),
-                )
-        done += 1
-        if done < min_replications:
+                cache.put(key, outcome)
+        outcomes.append(outcome)
+        if len(outcomes) < min_replications:
             continue
-        tracked = {
-            "mean_response_time": times,
-            "mean_response_ratio": ratios,
-            "fairness": fairs,
-        }
-        try:
-            values = tracked[metric]
-        except KeyError:
-            raise KeyError(
-                f"unknown metric {metric!r}; expected one of {sorted(tracked)}"
-            ) from None
-        summary = summarize_replications(values, confidence)
+        summary = summarize_replications(
+            _metric_values(outcomes, metric), confidence
+        )
         # A degenerate interval (zero variance, or NaN-poisoned inputs
         # collapsing to a flagged zero width) is final: more
         # replications of the same degenerate data can never tighten
@@ -252,20 +255,22 @@ def evaluate_policy_to_precision(
             summary.relative_half_width <= target_relative_half_width
         ):
             break
-    return PolicyEvaluation(
-        policy_name=policy.name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / done,
-        replications=done,
-        jobs_per_replication=float(np.mean(jobs)),
-    )
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)
 
 
-#: Metric names tracked per replication by the cell evaluators.
+#: Metric names tracked per replication, in outcome-tuple order.
 _CELL_METRICS = ("mean_response_time", "mean_response_ratio", "fairness")
+
+
+def _metric_values(outcomes, metric: str) -> list:
+    """One tracked metric across outcome tuples (seed order)."""
+    try:
+        index = _CELL_METRICS.index(metric)
+    except ValueError:
+        raise KeyError(
+            f"unknown metric {metric!r}; expected one of {sorted(_CELL_METRICS)}"
+        ) from None
+    return [o[index] for o in outcomes]
 
 
 @dataclass(frozen=True)
@@ -371,47 +376,25 @@ def _run_cell_replication(
 def _summarize_cell(
     config: SimulationConfig,
     policies,
-    per_policy: list[dict[str, list]],
+    per_policy: list[list[tuple]],
     confidence: float,
     stream_misses: int,
 ) -> CellEvaluation:
-    evaluations: dict[str, PolicyEvaluation] = {}
-    samples: dict[str, dict[str, tuple[float, ...]]] = {}
-    replications = len(per_policy[0]["mean_response_ratio"])
-    for policy, acc in zip(policies, per_policy):
-        evaluations[policy.name] = PolicyEvaluation(
-            policy_name=policy.name,
-            config=config,
-            mean_response_time=summarize_replications(
-                acc["mean_response_time"], confidence
-            ),
-            mean_response_ratio=summarize_replications(
-                acc["mean_response_ratio"], confidence
-            ),
-            fairness=summarize_replications(acc["fairness"], confidence),
-            dispatch_fractions=acc["fractions"] / replications,
-            replications=replications,
-            jobs_per_replication=float(np.mean(acc["jobs"])),
-        )
-        samples[policy.name] = {
-            m: tuple(acc[m]) for m in _CELL_METRICS
-        }
+    """Fold each policy's outcome tuples (seed order) into the cell."""
     return CellEvaluation(
         config=config,
-        evaluations=evaluations,
-        samples=samples,
-        replications=replications,
+        evaluations={
+            p.name: summarize_outcomes(p.name, config, outs, confidence=confidence)
+            for p, outs in zip(policies, per_policy)
+        },
+        samples={
+            p.name: {m: tuple(_metric_values(outs, m)) for m in _CELL_METRICS}
+            for p, outs in zip(policies, per_policy)
+        },
+        replications=len(per_policy[0]),
         confidence=confidence,
         stream_misses=stream_misses,
     )
-
-
-def _accumulate(acc: dict, result: SimulationResults) -> None:
-    acc["mean_response_time"].append(result.metrics.mean_response_time)
-    acc["mean_response_ratio"].append(result.metrics.mean_response_ratio)
-    acc["fairness"].append(result.metrics.fairness)
-    acc["jobs"].append(result.metrics.jobs)
-    acc["fractions"] += result.dispatch_fractions
 
 
 def evaluate_cell(
@@ -438,10 +421,7 @@ def evaluate_cell(
     seeds = replication_seeds(base_seed, replications)
     pool = StreamPool()
     fast = _cell_fast_indices(config, policies)
-    per_policy = [
-        {m: [] for m in _CELL_METRICS} | {"jobs": [], "fractions": np.zeros(config.n)}
-        for _ in policies
-    ]
+    per_policy: list[list[tuple]] = [[] for _ in policies]
     # One batched run_cell call for every (fast policy, replication)
     # member: replications share the round-robin sequence memo and the
     # per-call setup, and each replication still materializes its own
@@ -453,14 +433,13 @@ def evaluate_cell(
         else {}
     )
     for r in range(replications):
-        for pi in range(len(policies)):
-            if pi in fast:
-                _accumulate(per_policy[pi], batched[(pi, r)])
-            else:
-                _accumulate(
-                    per_policy[pi],
-                    run_policy_once(config, policies[pi], seed=seeds[r]),
-                )
+        for pi, policy in enumerate(policies):
+            result = (
+                batched[(pi, r)]
+                if pi in fast
+                else run_policy_once(config, policy, seed=seeds[r])
+            )
+            per_policy[pi].append(_result_outcome(result))
     return _summarize_cell(config, policies, per_policy, confidence, pool.misses)
 
 
@@ -516,10 +495,7 @@ def evaluate_cell_to_precision(
     seeds = replication_seeds(base_seed, max_replications)
     pool = StreamPool()
     fast = _cell_fast_indices(config, policies)
-    per_policy = [
-        {m: [] for m in _CELL_METRICS} | {"jobs": [], "fractions": np.zeros(config.n)}
-        for _ in policies
-    ]
+    per_policy: list[list[tuple]] = [[] for _ in policies]
 
     def _summary_converged(summary) -> bool:
         # Degenerate intervals (n=1 guards never trigger here, but zero
@@ -533,11 +509,13 @@ def evaluate_cell_to_precision(
     def converged() -> bool:
         if paired_baseline is None:
             return all(
-                _summary_converged(summarize_replications(acc[metric], confidence))
-                for acc in per_policy
+                _summary_converged(
+                    summarize_replications(_metric_values(outs, metric), confidence)
+                )
+                for outs in per_policy
             )
         bi = names.index(paired_baseline)
-        base_values = per_policy[bi][metric]
+        base_values = _metric_values(per_policy[bi], metric)
         scale = abs(float(np.mean(base_values)))
         if scale == 0.0 or not np.isfinite(scale):
             # The paired target is scaled by the baseline mean; with a
@@ -548,7 +526,9 @@ def evaluate_cell_to_precision(
         for pi in range(len(policies)):
             if pi == bi:
                 continue
-            ps = summarize_paired(per_policy[pi][metric], base_values, confidence)
+            ps = summarize_paired(
+                _metric_values(per_policy[pi], metric), base_values, confidence
+            )
             if not (
                 ps.degenerate
                 or ps.half_width <= target_relative_half_width * scale
@@ -556,13 +536,11 @@ def evaluate_cell_to_precision(
                 return False
         return True
 
-    done = 0
     for r in range(max_replications):
         for pi, result in _run_cell_replication(
             config, policies, seeds, r, pool, fast
         ).items():
-            _accumulate(per_policy[pi], result)
-        done += 1
-        if done >= min_replications and converged():
+            per_policy[pi].append(_result_outcome(result))
+        if r + 1 >= min_replications and converged():
             break
     return _summarize_cell(config, policies, per_policy, confidence, pool.misses)

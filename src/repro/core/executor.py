@@ -1,41 +1,55 @@
-"""Grid-parallel replication executor with a shared worker pool.
+"""The grid executor: one scheduler for every sweep, on a shared worker pool.
 
-An entire sweep — every (sweep point × policy × replication) cell of a
-figure — flattens into one task list and fans out across worker
-processes.  Three properties make this the backbone of every experiment
-runner:
+A sweep is a grid of *members* — one replication of one policy at one
+sweep point, keyed ``(x, policy, r)``.  Two entry points hand that grid
+to the same checkpoint/cache lookup and the same scheduling loop:
+
+* :func:`run_cell_grid` runs every experiment sweep.  Each sweep point
+  is a :class:`CellTask` whose members run in *slices* (every pending
+  policy of a chunk of replications), so one stream materialization per
+  replication serves every policy and cross-policy plan dedup fires.
+* :func:`run_replication_grid` is the per-replication oracle: every
+  member is a standalone :class:`ReplicationTask` run through
+  :func:`~repro.core.evaluate.run_policy_once`.  Tests pin the cell path
+  to it bit for bit.
+
+The loop runs *units* — a cell slice or a chunk of replication tasks —
+either in-process with inline retries or on the process-wide worker
+pool with timeouts, pool rebuilds and suspect isolation:
 
 * **One pool per process.**  The ``ProcessPoolExecutor`` is created
   lazily on first parallel use and reused across sweep points, figures,
-  and :func:`~repro.core.parallel.evaluate_policy_parallel` calls in a
-  single CLI invocation — no per-call spin-up churn.  Worker processes
-  persist, so per-process memos (the round-robin dispatch-sequence
-  cache) stay warm across tasks.
+  and :func:`evaluate_policy_parallel` calls in a single CLI invocation
+  — no per-call spin-up churn.  Worker processes persist, so
+  per-process memos (the round-robin dispatch-sequence cache) stay warm
+  across tasks.
 * **Bit-identical results.**  Each replication derives its streams from
   its own seed, workers rebuild policies from registry names, and the
-  caller aggregates outcomes keyed by task — never by completion order.
-  ``n_jobs=1`` bypasses the pool (and pickling) entirely.
-* **Failure isolation.**  A crashing task does not poison the pool: the
-  worker captures the traceback per task and the parent raises one
-  aggregate :class:`GridTaskError` naming the failed cells.
+  caller aggregates outcomes keyed by member — never by completion
+  order.  In-process runs skip the pool (and pickling) entirely.
+* **Failures are charged to single members.**  A unit that fails —
+  raises, kills its worker, or overruns its budget — and holds more
+  than one member is re-run, uncharged, as single-member units, so
+  attempts and :class:`TaskFailure` records always name exactly one
+  (point, policy, replication) and its siblings complete.  A dead
+  worker breaks the whole pool and cannot say which unit killed it:
+  every unit in flight becomes a *suspect* and re-runs alone on a
+  rebuilt pool, where a break names its culprit.  Unrecoverable
+  failures raise one aggregate :class:`GridTaskError`.
 
-Hardening knobs (all off by default — the default path is byte-for-byte
-the original fast path):
+Hardening knobs (all off by default):
 
-* ``retries`` — transient failures (a task raising, a worker process
-  dying, a task timing out) are retried up to N times with a bounded
-  exponential backoff before counting as failed.  A worker killed
-  mid-task breaks the whole pool; the executor rebuilds it and
-  resubmits every in-flight task.
-* ``task_timeout`` — wall-clock budget per task (parallel runs only).
-  A task past its deadline is treated as crashed: the pool is recycled
-  and the task retried or failed.
-* ``quarantine`` — tasks that exhaust their retries are quarantined
+* ``retries`` — a failed member is retried up to N times with a bounded
+  exponential backoff before it counts as failed.
+* ``task_timeout`` — wall-clock budget per member; a unit of k members
+  gets k times the budget.  An overrun counts as a crash and recycles
+  the pool.  A requested timeout always runs on real workers (a
+  one-worker pool when ``n_jobs=1``).
+* ``quarantine`` — members that exhaust their retries are quarantined
   into ``GridReport.failures`` as structured :class:`TaskFailure`
-  records (naming the sweep point, policy, and replication) instead of
-  aborting the whole grid.
+  records instead of aborting the whole grid.
 * ``checkpoint`` — a :class:`~repro.core.checkpoint.SweepCheckpoint`;
-  finished cells are appended as they complete and skipped on re-runs
+  finished members are appended as they complete and skipped on re-runs
   (``repro run --resume``).
 
 ``n_jobs`` resolution: explicit argument > ``REPRO_JOBS`` environment
@@ -48,6 +62,7 @@ import atexit
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -55,15 +70,21 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from ..metrics import summarize_replications
 from ..obs import counters
 from ..obs.spans import span
+from ..rng import replication_seeds
 from ..sim import run_cell
 from ..sim.config import SimulationConfig
 from ..sim.streams import SharedStreamPool, StreamPool, attach_streams
 from .cache import ReplicationCache
 from .checkpoint import SweepCheckpoint
-from .evaluate import PolicyEvaluation, _cell_fast_indices, run_policy_once
+from .evaluate import (
+    PolicyEvaluation,
+    _cell_fast_indices,
+    _result_outcome,
+    run_policy_once,
+    summarize_outcomes,
+)
 from .policies import get_policy
 
 __all__ = [
@@ -77,27 +98,32 @@ __all__ = [
     "shutdown_shared_executor",
     "run_replication_grid",
     "run_cell_grid",
+    "evaluate_policy_parallel",
     "summarize_outcomes",
 ]
 
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
-#: Test seam: when set (before workers fork), every worker invocation
-#: calls ``_TEST_WORKER_HOOK(task)`` first — fault-injection tests use
-#: it to crash or stall specific tasks.  Never set in production.
+#: Test seam: when set (before workers fork), every unit calls
+#: ``_TEST_WORKER_HOOK(task)`` once per member, with the member as a
+#: :class:`ReplicationTask`, before it runs — fault-injection tests use
+#: it to crash or stall specific members.  Never set in production.
 _TEST_WORKER_HOOK = None
 
-#: Bounded backoff between retry attempts of a failed task (seconds).
+#: Bounded backoff between retry attempts of a failed member (seconds).
 _RETRY_BASE_DELAY = 0.05
 _RETRY_MAX_DELAY = 2.0
 
-#: Grids at or below this many pending tasks run in-process even when
+#: Grids at or below this many pending members run in-process even when
 #: ``n_jobs > 1``: spinning up (or round-tripping) worker processes
 #: costs more than a handful of replications, and serial execution is
-#: bit-identical anyway.  Applies only to the unhardened path — retries,
-#: timeouts, and the test worker hook always get real workers.
+#: bit-identical anyway.  Retries and the test worker hook opt out of
+#: it, and a task timeout always gets real workers.
 _AUTO_SERIAL_TASKS = 4
+
+#: Matches :class:`repro.experiments.base.Scale`'s base seed.
+DEFAULT_BASE_SEED = 2000
 
 
 def resolve_n_jobs(value: int | str | None = None) -> int:
@@ -174,10 +200,9 @@ class CellTask:
     """One sweep cell: every (policy × replication) member at one point.
 
     ``policy_names`` are the display names used in member keys — the
-    same ``(x, policy, r)`` triples the flat per-replication grid uses —
+    same ``(x, policy, r)`` triples the per-replication grid uses —
     while ``base_names``/``estimation_errors`` are the registry
-    coordinates workers rebuild each policy from (mirroring
-    :class:`ReplicationTask`, whose cache keys these cells share).
+    coordinates workers rebuild each policy from (see :meth:`member`).
     """
 
     x: Hashable
@@ -190,6 +215,17 @@ class CellTask:
     def member_key(self, pi: int, r: int) -> tuple:
         return (self.x, self.policy_names[pi], r)
 
+    def member(self, pi: int, r: int) -> ReplicationTask:
+        """Member ``(pi, r)`` as a standalone replication task — the
+        same key, cache key and outcome."""
+        return ReplicationTask(
+            key=self.member_key(pi, r),
+            config=self.config,
+            policy_name=self.base_names[pi],
+            estimation_error=self.estimation_errors[pi],
+            seed=self.seeds[r],
+        )
+
     def policies(self):
         return [
             get_policy(base, estimation_error=err)
@@ -199,11 +235,11 @@ class CellTask:
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One grid cell that exhausted its retries.
+    """One grid member that exhausted its retries.
 
-    ``key`` is the sweep's task key — for the standard experiment
+    ``key`` is the sweep's member key — for the standard experiment
     sweeps a ``(sweep point, policy, replication)`` triple — so the
-    failure names exactly which cell died and why.
+    failure names exactly which member died and why.
     """
 
     key: Hashable
@@ -243,7 +279,7 @@ class GridTaskError(RuntimeError):
 class GridReport:
     """Outcomes plus observability for one grid run."""
 
-    #: task key → (mean_response_time, mean_response_ratio, fairness,
+    #: member key → (mean_response_time, mean_response_ratio, fairness,
     #: jobs, dispatch_fractions, loss_rate) — the per-replication
     #: outcome tuple (loss_rate is 0.0 for fault-free runs).
     outcomes: dict
@@ -251,58 +287,44 @@ class GridReport:
     cache_misses: int = 0
     #: Per-stage wall-clock seconds ("cache_lookup", "simulate").
     timings: dict[str, float] = field(default_factory=dict)
-    #: Quarantined cells (only populated with ``quarantine=True``).
+    #: Quarantined members (only populated with ``quarantine=True``).
     failures: list[TaskFailure] = field(default_factory=list)
-    #: Finished cells served from the sweep checkpoint.
+    #: Finished members served from the sweep checkpoint.
     checkpoint_hits: int = 0
-    #: Task attempts beyond the first (crashes/timeouts that recovered).
+    #: Member attempts beyond the first (failures that recovered).
     retried: int = 0
 
 
-def _result_outcome(result):
-    """The per-replication outcome tuple stored in caches/checkpoints."""
-    return (
-        result.metrics.mean_response_time,
-        result.metrics.mean_response_ratio,
-        result.metrics.fairness,
-        result.metrics.jobs,
-        result.dispatch_fractions,
-        result.loss_rate,
-    )
+@dataclass(frozen=True)
+class _Unit:
+    """What one worker call runs: a slice of one cell's ``(pi, r)``
+    members, or a chunk of standalone :class:`ReplicationTask` members
+    (``cell is None``).  A unit succeeds or fails as a whole."""
+
+    cell: CellTask | None
+    members: tuple
+
+    def tasks(self) -> list[ReplicationTask]:
+        if self.cell is None:
+            return list(self.members)
+        return [self.cell.member(pi, r) for pi, r in self.members]
+
+    def split(self) -> list["_Unit"]:
+        return [_Unit(self.cell, (m,)) for m in self.members]
 
 
 def _run_replication(task: ReplicationTask):
     policy = get_policy(task.policy_name, estimation_error=task.estimation_error)
-    result = run_policy_once(task.config, policy, seed=task.seed)
-    return _result_outcome(result)
+    return _result_outcome(run_policy_once(task.config, policy, seed=task.seed))
 
 
-def _worker(task: ReplicationTask):
-    """Pool entry point: never raises — errors travel back as text.
-
-    The fourth element is the worker's counter delta for this task
-    (:func:`repro.obs.counters.diff_since`): the parent merges it so a
-    parallel grid reports the same run-level counters as a serial one.
-    In-process callers ignore it — their increments already landed in
-    the live registry.
-    """
-    before = counters.snapshot()
-    try:
-        if _TEST_WORKER_HOOK is not None:
-            _TEST_WORKER_HOOK(task)
-        outcome = _run_replication(task)
-        return task.key, outcome, None, counters.diff_since(before)
-    except Exception:  # noqa: BLE001 — captured per task by design
-        return task.key, None, traceback.format_exc(), None
-
-
-def _run_cell_members(task: CellTask, members, pool: StreamPool):
+def _run_cell_members(task: CellTask, members, pool: StreamPool) -> list:
     """Run the given (policy, rep) members of one cell on pooled streams.
 
     Static members on ps/fcfs go through the batched
     :func:`~repro.sim.fastpath.run_cell` replay; everything else falls
     back to :func:`run_policy_once` per member (identical seeds either
-    way).  Yields ``(member_key, outcome_tuple)`` pairs.
+    way).  Returns the members' outcome tuples in ``members`` order.
     """
     policies = task.policies()
     fast = _cell_fast_indices(task.config, policies)
@@ -319,44 +341,44 @@ def _run_cell_members(task: CellTask, members, pool: StreamPool):
             result = run_policy_once(
                 task.config, policies[pi], seed=task.seeds[r]
             )
-        out.append((task.member_key(pi, r), _result_outcome(result)))
+        out.append(_result_outcome(result))
     return out
 
 
-def _cell_worker(payload):
-    """Pool entry point for one (cell, replication-chunk) slice: never
-    raises.
+def _run_unit(unit: _Unit, handles=()):
+    """Run one unit, in-process or as the pool entry point; never raises.
 
-    ``payload`` is ``(task, members, rep_handles)`` — ``members`` the
-    ``(pi, r)`` pairs of this chunk (every pending policy of each of its
-    replications, so cross-policy plan dedup still fires inside the
-    worker), ``rep_handles`` a list of ``(r, StreamHandle | None)`` with
-    a handle mapping the parent's shared-memory streams for that
-    replication; ``None`` means every member of that replication is
-    engine-bound and samples privately.
+    Returns ``(outcomes, error, delta)``: the members' outcome tuples in
+    unit order (``None`` on failure), the traceback text (``None`` on
+    success), and the run's counter delta
+    (:func:`repro.obs.counters.diff_since`), which the parent merges so
+    a parallel grid reports the same run-level counters as a serial
+    one; in-process callers drop it, their increments already landed.
+    ``handles`` are ``(r, StreamHandle)`` pairs mapping the parent's
+    shared-memory streams for a cell slice's replications; the others
+    sample privately.
     """
-    task, members, rep_handles = payload
+    before = counters.snapshot()
     pool = None
     attached = []
-    before = counters.snapshot()
     try:
-        pool = StreamPool(max_entries=max(1, len(rep_handles)))
-        for r, handle in rep_handles:
-            if handle is not None:
+        if _TEST_WORKER_HOOK is not None:
+            for task in unit.tasks():
+                _TEST_WORKER_HOOK(task)
+        if unit.cell is None:
+            outcomes = [_run_replication(task) for task in unit.members]
+        else:
+            cell = unit.cell
+            reps = {r for _, r in unit.members}
+            pool = StreamPool(max_entries=len(reps))
+            for r, handle in handles:
                 view = attach_streams(handle)
                 attached.append(view)
-                pool.prime(task.config, task.seeds[r], view.times, view.sizes)
-        settled = _run_cell_members(task, members, pool)
-        return (
-            [(key, outcome, None) for key, outcome in settled],
-            counters.diff_since(before),
-        )
-    except Exception:  # noqa: BLE001 — captured per slice by design
-        tb = traceback.format_exc()
-        return (
-            [(task.member_key(pi, r), None, tb) for pi, r in members],
-            None,
-        )
+                pool.prime(cell.config, cell.seeds[r], view.times, view.sizes)
+            outcomes = _run_cell_members(cell, unit.members, pool)
+        return outcomes, None, counters.diff_since(before)
+    except Exception:  # noqa: BLE001 — captured per unit by design
+        return None, traceback.format_exc(), None
     finally:
         pool = None  # noqa: F841 — drop shm-backed views before unmapping
         for view in attached:
@@ -368,138 +390,264 @@ def _retry_delay(next_attempt: int) -> float:
     return min(_RETRY_MAX_DELAY, _RETRY_BASE_DELAY * 2.0 ** (next_attempt - 2))
 
 
-def _run_serial(pending: list[ReplicationTask], retries: int):
-    """In-process execution with inline retries (no timeout support)."""
-    for task in pending:
-        for attempt in range(1, retries + 2):
-            # In-process: counter increments already landed, delta unused.
-            _, outcome, error, _delta = _worker(task)
-            if error is None or attempt == retries + 1:
-                yield task, outcome, error, attempt
-                break
-            time.sleep(_retry_delay(attempt + 1))
-
-
-def _run_hardened(
-    pending: list[ReplicationTask],
+def _schedule(
+    units,
+    on_done,
+    *,
     n_jobs: int,
+    use_pool: bool,
     retries: int,
     task_timeout: float | None,
-):
-    """Submit-based parallel execution with crash and timeout recovery.
+    handles_for=lambda unit: (),
+) -> None:
+    """The one scheduling loop: run *units* until every member settles.
 
-    Each task gets its own future (no chunking), so one dead or stuck
-    worker only costs the tasks it was holding.  A dead worker breaks
-    the *whole* pool, and ``BrokenProcessPool`` cannot say which task
-    killed it — so nobody is charged an attempt for a break; instead
-    every task that was in flight becomes a *suspect* and re-runs in
-    isolation (one task per fresh pool at a time).  Alone, the culprit
-    is unambiguous: an isolated break or timeout charges that task's
-    attempt, while innocent bystanders complete for free.
+    ``on_done(task, outcome, error, attempts)`` is called once per
+    member as it settles.  In-process, units run inline and retry
+    inline.  On the pool, units are submitted with a deadline of
+    ``task_timeout`` per member; suspects from a broken pool then run
+    one at a time, so a break or overrun names its culprit.
+    ``handles_for(unit)`` supplies a unit's shared-memory stream
+    handles for the pool.
     """
-    from collections import deque
+    todo = deque((unit, 1) for unit in units)
+    suspects: deque = deque()  # run one at a time on a fresh pool
+    in_flight: dict = {}  # future -> (unit, attempt, deadline, solo)
+    # With a timeout, only as many units as workers are in flight, so a
+    # deadline never counts time spent queued behind another unit.
+    capacity = n_jobs if task_timeout is not None else 2 * n_jobs
 
-    results: list[tuple[ReplicationTask, object, str | None, int]] = []
-    todo = deque((task, 1) for task in pending)
-    isolated: deque = deque()  # suspects: run one at a time
-    in_flight: dict = {}  # future -> (task, attempt, deadline)
-
-    def settle(task, attempt, outcome, error, queue):
-        """Record a completed attempt, or requeue it with backoff."""
+    def settle(unit, attempt, outcomes, error, queue):
+        """Record a finished attempt.  A failed multi-member unit is
+        split into single-member units, uncharged; a failed single
+        member is retried with backoff or charged."""
         if error is None:
-            results.append((task, outcome, None, attempt))
+            for task, outcome in zip(unit.tasks(), outcomes):
+                on_done(task, outcome, None, attempt)
+        elif len(unit.members) > 1:
+            queue.extend((single, 1) for single in unit.split())
         elif attempt <= retries:
             time.sleep(_retry_delay(attempt + 1))
-            queue.append((task, attempt + 1))
+            queue.append((unit, attempt + 1))
         else:
-            results.append((task, None, error, attempt))
+            on_done(unit.tasks()[0], None, error, attempt)
 
-    while todo or in_flight:
-        pool = shared_executor(n_jobs)
-        while todo and len(in_flight) < 2 * n_jobs:
-            task, attempt = todo.popleft()
-            deadline = (
-                time.monotonic() + task_timeout if task_timeout is not None else None
-            )
-            in_flight[pool.submit(_worker, task)] = (task, attempt, deadline)
-
-        wait_timeout = None
+    def submit(unit, attempt, solo):
+        handles = handles_for(unit)
+        try:
+            future = shared_executor(n_jobs).submit(_run_unit, unit, handles)
+        except BrokenProcessPool:  # a worker died since the last wait
+            _rebuild_pool()
+            future = shared_executor(n_jobs).submit(_run_unit, unit, handles)
+        deadline = None
         if task_timeout is not None:
-            nearest = min(d for (_, _, d) in in_flight.values())
-            wait_timeout = max(0.0, nearest - time.monotonic()) + 0.01
+            deadline = time.monotonic() + task_timeout * len(unit.members)
+        in_flight[future] = (unit, attempt, deadline, solo)
+
+    while todo or suspects or in_flight:
+        if not use_pool:
+            unit, attempt = todo.popleft()
+            outcomes, error, _delta = _run_unit(unit)
+            settle(unit, attempt, outcomes, error, todo)
+            continue
+        if suspects:
+            if not in_flight:
+                submit(*suspects.popleft(), solo=True)
+        else:
+            while todo and len(in_flight) < capacity:
+                submit(*todo.popleft(), solo=False)
+
+        deadlines = [d for (_, _, d, _) in in_flight.values() if d is not None]
+        wait_timeout = (
+            max(0.0, min(deadlines) - time.monotonic()) + 0.01
+            if deadlines
+            else None
+        )
         done, _ = wait(set(in_flight), timeout=wait_timeout,
                        return_when=FIRST_COMPLETED)
 
         broken = False
-        for fut in done:
-            task, attempt, _ = in_flight.pop(fut)
+        for future in done:
+            unit, attempt, _, solo = in_flight.pop(future)
+            queue = suspects if solo else todo
             try:
-                _, outcome, error, delta = fut.result()
-                if error is None:
-                    counters.merge(delta)
+                outcomes, error, delta = future.result()
             except BrokenProcessPool:
-                # Can't attribute the dead worker: re-run in isolation,
-                # unattributed breaks don't consume an attempt.
-                isolated.append((task, attempt))
                 broken = True
+                if solo:  # alone on the pool: it killed its worker
+                    settle(unit, attempt, None,
+                           "task killed its worker process", queue)
+                else:  # the dead worker is unattributed: suspect, uncharged
+                    suspects.append((unit, attempt))
                 continue
             except Exception:  # noqa: BLE001 — surfaced as a task failure
-                outcome, error = None, traceback.format_exc()
-            settle(task, attempt, outcome, error, todo)
+                outcomes, error, delta = None, traceback.format_exc(), None
+            counters.merge(delta)
+            settle(unit, attempt, outcomes, error, queue)
 
-        if task_timeout is not None:
-            now = time.monotonic()
-            for fut, (task, attempt, deadline) in list(in_flight.items()):
-                if now >= deadline:
-                    in_flight.pop(fut)
-                    if not fut.cancel():
-                        # Already running: the worker can't be reclaimed,
-                        # so the pool gets recycled below.
-                        broken = True
-                    error = f"task exceeded its {task_timeout}s wall-clock budget"
-                    settle(task, attempt, None, error, todo)
+        now = time.monotonic()
+        for future, (unit, attempt, deadline, solo) in list(in_flight.items()):
+            if deadline is not None and now >= deadline:
+                del in_flight[future]
+                if not future.cancel():
+                    # Already running: the worker can't be reclaimed,
+                    # so the pool gets recycled below.
+                    broken = True
+                budget = task_timeout * len(unit.members)
+                settle(unit, attempt, None,
+                       f"task exceeded its {budget}s wall-clock budget",
+                       suspects if solo else todo)
 
         if broken:
-            # Remaining in-flight tasks were on the broken pool too:
-            # they join the suspects, uncharged.
-            for task, attempt, _ in in_flight.values():
-                isolated.append((task, attempt))
+            # Everything still in flight was on the broken pool too:
+            # it joins the suspects, uncharged.
+            suspects.extend((u, a) for u, a, _, _ in in_flight.values())
             in_flight.clear()
             _rebuild_pool()
 
-        # Drain suspects one per pool so failures attribute cleanly.
-        while isolated and not in_flight:
-            task, attempt = isolated.popleft()
-            pool = shared_executor(n_jobs)
-            deadline = (
-                time.monotonic() + task_timeout if task_timeout is not None else None
-            )
-            fut = pool.submit(_worker, task)
-            solo_timeout = (
-                max(0.0, deadline - time.monotonic()) + 0.01
-                if deadline is not None
-                else None
-            )
-            done, _ = wait([fut], timeout=solo_timeout)
-            if not done:
-                fut.cancel()
-                _rebuild_pool()
-                error = f"task exceeded its {task_timeout}s wall-clock budget"
-                settle(task, attempt, None, error, isolated)
-                continue
-            try:
-                _, outcome, error, delta = fut.result()
-                if error is None:
-                    counters.merge(delta)
-            except BrokenProcessPool:
-                _rebuild_pool()
-                outcome = None
-                error = "task killed its worker process"
-            except Exception:  # noqa: BLE001 — surfaced as a task failure
-                outcome, error = None, traceback.format_exc()
-            settle(task, attempt, outcome, error, isolated)
 
-    return results
+def _run_grid(
+    groups,
+    *,
+    n_jobs: int | str | None,
+    cache: ReplicationCache | None,
+    checkpoint: SweepCheckpoint | None,
+    retries: int,
+    task_timeout: float | None,
+    quarantine: bool,
+    chunks_per_worker: int = 4,
+) -> GridReport:
+    """Both grid entry points: checkpoint, then cache, then the loop.
+
+    ``groups`` are ``(cell, members)`` pairs — a :class:`CellTask` with
+    its ``(pi, r)`` members, or ``None`` with standalone
+    :class:`ReplicationTask` members.
+    """
+    n_jobs = resolve_n_jobs(n_jobs)
+    if retries < 0:
+        raise ValueError(f"retries must be non-negative, got {retries}")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be positive, got {task_timeout}")
+    report = GridReport(outcomes={})
+    total = sum(len(members) for _, members in groups)
+
+    t0 = time.perf_counter()
+    cache_keys: dict[Hashable, str] = {}
+    pending = []
+    with span("cache_lookup", tasks=total):
+        done_cells = checkpoint.load() if checkpoint is not None else {}
+        for cell, members in groups:
+            todo = []
+            for member in members:
+                task = member if cell is None else cell.member(*member)
+                if task.key in done_cells:
+                    report.outcomes[task.key] = done_cells[task.key]
+                    report.checkpoint_hits += 1
+                    continue
+                if cache is not None:
+                    ck = cache.task_key(
+                        task.config, task.policy_name, task.estimation_error,
+                        task.seed,
+                    )
+                    cache_keys[task.key] = ck
+                    hit = cache.get(ck)
+                    if hit is not None:
+                        report.outcomes[task.key] = hit
+                        report.cache_hits += 1
+                        if checkpoint is not None:
+                            checkpoint.record(task.key, hit)
+                        continue
+                    report.cache_misses += 1
+                todo.append(member)
+            if todo:
+                pending.append((cell, todo))
+    report.timings["cache_lookup"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    failures: list[TaskFailure] = []
+
+    def on_done(task, outcome, error, attempts):
+        report.retried += attempts - 1
+        if error is not None:
+            failures.append(
+                TaskFailure(
+                    key=task.key,
+                    policy_name=task.policy_name,
+                    attempts=attempts,
+                    error=error,
+                )
+            )
+            return
+        report.outcomes[task.key] = outcome
+        if cache is not None:
+            cache.put(cache_keys[task.key], outcome)
+        if checkpoint is not None:
+            checkpoint.record(task.key, outcome)
+
+    n_pending = sum(len(members) for _, members in pending)
+    use_pool = task_timeout is not None or (
+        n_jobs > 1
+        and n_pending > 1
+        and (
+            n_pending > _AUTO_SERIAL_TASKS
+            or retries > 0
+            or _TEST_WORKER_HOOK is not None
+        )
+    )
+    knobs = dict(
+        n_jobs=n_jobs, use_pool=use_pool, retries=retries,
+        task_timeout=task_timeout,
+    )
+    for cell, members in pending:
+        if cell is None:
+            # Chunked submission amortizes pickling overhead while
+            # keeping enough chunks in flight to balance uneven tasks.
+            size = (
+                max(1, len(members) // (chunks_per_worker * n_jobs))
+                if use_pool
+                else 1
+            )
+            units = [
+                _Unit(None, tuple(members[i:i + size]))
+                for i in range(0, len(members), size)
+            ]
+            _schedule(units, on_done, **knobs)
+            continue
+        # Slice by replication chunks, one per worker, keeping every
+        # policy of a replication in the same slice: the batched replay
+        # can then dedup identical dispatch plans across policies.
+        by_rep: dict[int, list[int]] = {}
+        for pi, r in members:
+            by_rep.setdefault(r, []).append(pi)
+        reps = sorted(by_rep)
+        n_chunks = min(n_jobs, len(reps)) if use_pool else 1
+        units = [
+            _Unit(cell, tuple((pi, r) for r in reps[i::n_chunks]
+                              for pi in by_rep[r]))
+            for i in range(n_chunks)
+        ]
+        fast = _cell_fast_indices(cell.config, cell.policies())
+        # Cells run back to back, so at most one cell's streams are
+        # resident in shared memory; the parent owns and always unlinks
+        # every segment, even when a worker crashes.
+        with SharedStreamPool() as shared:
+            handles: dict = {}
+
+            def handles_for(unit):
+                reps = sorted({r for pi, r in unit.members if pi in fast})
+                for r in reps:
+                    if r not in handles:
+                        handles[r] = shared.share(cell.config, cell.seeds[r])
+                return [(r, handles[r]) for r in reps]
+
+            _schedule(units, on_done, handles_for=handles_for, **knobs)
+    report.timings["simulate"] = time.perf_counter() - t0
+
+    if failures:
+        report.failures = failures
+        if not quarantine:
+            raise GridTaskError(failures, total)
+    return report
 
 
 def run_replication_grid(
@@ -513,102 +661,22 @@ def run_replication_grid(
     quarantine: bool = False,
     checkpoint: SweepCheckpoint | None = None,
 ) -> GridReport:
-    """Run every task: checkpoint first, then cache, then the worker grid.
+    """Run standalone replication tasks: the per-replication oracle.
 
-    Results are keyed by ``task.key`` so aggregation is insensitive to
-    completion order; with the same seeds the outcome is bit-identical
-    to running the tasks serially.  Tasks that fail after ``retries``
-    extra attempts are raised as one aggregate :class:`GridTaskError` —
-    or, with ``quarantine=True``, reported in ``GridReport.failures``
-    while every healthy cell still completes.  See the module docstring
-    for the hardening knobs.
+    Every task runs :func:`~repro.core.evaluate.run_policy_once` on its
+    own, so this grid pins the cell-batched :func:`run_cell_grid`, which
+    shares task keys and cache entries with it.  Results are keyed by
+    ``task.key``; with the same seeds the outcome is bit-identical to
+    running the tasks serially.  Parallel runs submit chunks of about
+    ``len(tasks) / (chunks_per_worker * n_jobs)`` tasks.  Failures and
+    the hardening knobs behave as described in the module docstring.
     """
-    tasks = list(tasks)
-    n_jobs = resolve_n_jobs(n_jobs)
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if task_timeout is not None and task_timeout <= 0:
-        raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-    report = GridReport(outcomes={})
-
-    t0 = time.perf_counter()
-    with span("cache_lookup", tasks=len(tasks)):
-        done_cells = checkpoint.load() if checkpoint is not None else {}
-        pending: list[ReplicationTask] = []
-        cache_keys: dict[Hashable, str] = {}
-        for task in tasks:
-            if task.key in done_cells:
-                report.outcomes[task.key] = done_cells[task.key]
-                report.checkpoint_hits += 1
-                continue
-            if cache is not None:
-                ck = cache.task_key(
-                    task.config, task.policy_name, task.estimation_error, task.seed
-                )
-                cache_keys[task.key] = ck
-                hit = cache.get(ck)
-                if hit is not None:
-                    report.outcomes[task.key] = hit
-                    report.cache_hits += 1
-                    if checkpoint is not None:
-                        checkpoint.record(task.key, hit)
-                    continue
-                report.cache_misses += 1
-            pending.append(task)
-    report.timings["cache_lookup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    auto_serial = (
-        len(pending) <= _AUTO_SERIAL_TASKS
-        and retries == 0
-        and task_timeout is None
-        and _TEST_WORKER_HOOK is None
+    return _run_grid(
+        [(None, list(tasks))],
+        n_jobs=n_jobs, cache=cache, checkpoint=checkpoint, retries=retries,
+        task_timeout=task_timeout, quarantine=quarantine,
+        chunks_per_worker=chunks_per_worker,
     )
-    if n_jobs == 1 or len(pending) <= 1 or auto_serial:
-        completed = _run_serial(pending, retries)
-    elif retries == 0 and task_timeout is None:
-        pool = shared_executor(n_jobs)
-        # Chunked submission amortizes pickling overhead while keeping
-        # enough chunks in flight to balance uneven task durations.
-        chunksize = max(1, len(pending) // (chunks_per_worker * n_jobs))
-
-        def _merged_map():
-            for task, (_key, outcome, error, delta) in zip(
-                pending, pool.map(_worker, pending, chunksize=chunksize)
-            ):
-                if error is None:
-                    counters.merge(delta)
-                yield task, outcome, error, 1
-
-        completed = _merged_map()
-    else:
-        completed = _run_hardened(pending, n_jobs, retries, task_timeout)
-
-    failures: list[TaskFailure] = []
-    for task, outcome, error, attempts in completed:
-        report.retried += attempts - 1
-        if error is not None:
-            failures.append(
-                TaskFailure(
-                    key=task.key,
-                    policy_name=task.policy_name,
-                    attempts=attempts,
-                    error=error,
-                )
-            )
-            continue
-        report.outcomes[task.key] = outcome
-        if cache is not None:
-            cache.put(cache_keys[task.key], outcome)
-        if checkpoint is not None:
-            checkpoint.record(task.key, outcome)
-    report.timings["simulate"] = time.perf_counter() - t0
-
-    if failures:
-        report.failures = failures
-        if not quarantine:
-            raise GridTaskError(failures, len(tasks))
-    return report
 
 
 def run_cell_grid(
@@ -616,164 +684,70 @@ def run_cell_grid(
     *,
     n_jobs: int | str | None = None,
     cache: ReplicationCache | None = None,
+    retries: int = 0,
+    task_timeout: float | None = None,
+    quarantine: bool = False,
     checkpoint: SweepCheckpoint | None = None,
 ) -> GridReport:
     """Run sweep cells whole: one stream materialization per replication.
 
     Member outcomes are keyed ``(cell.x, policy_name, r)`` with the same
-    cache keys as the flat per-replication grid, so results, caches, and
-    checkpoints are interchangeable between the two paths — and with the
-    same seeds the outcomes are bit-identical.  Parallel runs fan a cell
-    out one replication-chunk slice per worker — every policy of a
-    replication stays together so cross-policy plan dedup survives the
-    split — shipping each replication's streams through shared memory;
-    cells run back to back so at most one cell's streams are resident,
-    and the parent owns and always unlinks every segment, even when a
-    worker crashes.
-
-    Hardening (retries, timeouts, quarantine) is deliberately absent —
-    sweeps that need it take :func:`run_replication_grid`.
+    cache keys as :func:`run_replication_grid`, so results, caches, and
+    checkpoints are interchangeable between the two — and with the same
+    seeds the outcomes are bit-identical.  In-process a cell runs as one
+    slice; parallel runs fan it out one replication-chunk slice per
+    worker and ship each replication's streams through shared memory.
+    Retries, timeouts and quarantine work per member, as described in
+    the module docstring.
     """
-    cells = list(cells)
-    n_jobs = resolve_n_jobs(n_jobs)
-    report = GridReport(outcomes={})
-
-    t0 = time.perf_counter()
-    done_cells = checkpoint.load() if checkpoint is not None else {}
-    pending: list[tuple[CellTask, list[tuple[int, int]]]] = []
-    cache_keys: dict[Hashable, str] = {}
-    total = 0
-    for task in cells:
-        members: list[tuple[int, int]] = []
-        for pi in range(len(task.policy_names)):
-            for r in range(len(task.seeds)):
-                total += 1
-                key = task.member_key(pi, r)
-                if key in done_cells:
-                    report.outcomes[key] = done_cells[key]
-                    report.checkpoint_hits += 1
-                    continue
-                if cache is not None:
-                    ck = cache.task_key(
-                        task.config,
-                        task.base_names[pi],
-                        task.estimation_errors[pi],
-                        task.seeds[r],
-                    )
-                    cache_keys[key] = ck
-                    hit = cache.get(ck)
-                    if hit is not None:
-                        report.outcomes[key] = hit
-                        report.cache_hits += 1
-                        if checkpoint is not None:
-                            checkpoint.record(key, hit)
-                        continue
-                    report.cache_misses += 1
-                members.append((pi, r))
-        if members:
-            pending.append((task, members))
-    report.timings["cache_lookup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    failures: list[TaskFailure] = []
-
-    def settle(key, outcome, error):
-        if error is not None:
-            failures.append(
-                TaskFailure(key=key, policy_name=key[1], attempts=1, error=error)
-            )
-            return
-        report.outcomes[key] = outcome
-        if cache is not None:
-            cache.put(cache_keys[key], outcome)
-        if checkpoint is not None:
-            checkpoint.record(key, outcome)
-
-    n_pending = sum(len(m) for _, m in pending)
-    if n_jobs == 1 or n_pending <= _AUTO_SERIAL_TASKS:
-        for task, members in pending:
-            pool = StreamPool(max_entries=max(1, len(task.seeds)))
-            try:
-                for key, outcome in _run_cell_members(task, members, pool):
-                    settle(key, outcome, None)
-            except Exception:  # noqa: BLE001 — every member charged once
-                tb = traceback.format_exc()
-                for pi, r in members:
-                    settle(task.member_key(pi, r), None, tb)
-    else:
-        pool_exec = shared_executor(n_jobs)
-        for task, members in pending:
-            fast = _cell_fast_indices(task.config, task.policies())
-            by_rep: dict[int, list[int]] = {}
-            for pi, r in members:
-                by_rep.setdefault(r, []).append(pi)
-            # Slice by replication chunks, keeping every policy of a
-            # replication in the same worker: the batched replay can
-            # then dedup identical dispatch plans across policies,
-            # which a per-policy slicing would forfeit.
-            reps = sorted(by_rep)
-            n_chunks = max(1, min(n_jobs, len(reps)))
-            with SharedStreamPool() as shared:
-                subtasks = []
-                for chunk in (reps[i::n_chunks] for i in range(n_chunks)):
-                    if not chunk:
-                        continue
-                    cmembers = [
-                        (pi, r) for r in chunk for pi in sorted(by_rep[r])
-                    ]
-                    rep_handles = []
-                    for r in chunk:
-                        handle = (
-                            shared.share(task.config, task.seeds[r])
-                            if any(pi in fast for pi in by_rep[r])
-                            else None
-                        )
-                        rep_handles.append((r, handle))
-                    subtasks.append((task, cmembers, rep_handles))
-                for settled, delta in pool_exec.map(_cell_worker, subtasks):
-                    counters.merge(delta or {})
-                    for key, outcome, error in settled:
-                        settle(key, outcome, error)
-    report.timings["simulate"] = time.perf_counter() - t0
-
-    if failures:
-        report.failures = failures
-        raise GridTaskError(failures, total)
-    return report
-
-
-def summarize_outcomes(
-    policy_name: str,
-    config: SimulationConfig,
-    outcomes,
-    *,
-    confidence: float = 0.95,
-) -> PolicyEvaluation:
-    """Fold per-replication outcome tuples (in seed order) into a
-    :class:`PolicyEvaluation` — the same accumulation order as the
-    serial :func:`~repro.core.evaluate.evaluate_policy` loop, so the
-    summary is bit-identical to the serial path."""
-    outcomes = list(outcomes)
-    times = [o[0] for o in outcomes]
-    ratios = [o[1] for o in outcomes]
-    fairs = [o[2] for o in outcomes]
-    jobs = [o[3] for o in outcomes]
-    fractions = np.zeros(config.n)
-    for o in outcomes:
-        fractions += o[4]
-    loss = None
-    if config.faults is not None and config.faults.enabled:
-        loss = summarize_replications(
-            [o[5] if len(o) > 5 else 0.0 for o in outcomes], confidence
-        )
-    return PolicyEvaluation(
-        policy_name=policy_name,
-        config=config,
-        mean_response_time=summarize_replications(times, confidence),
-        mean_response_ratio=summarize_replications(ratios, confidence),
-        fairness=summarize_replications(fairs, confidence),
-        dispatch_fractions=fractions / len(outcomes),
-        replications=len(outcomes),
-        jobs_per_replication=float(np.mean(jobs)),
-        loss_rate=loss,
+    return _run_grid(
+        [
+            (cell, [(pi, r) for pi in range(len(cell.policy_names))
+                    for r in range(len(cell.seeds))])
+            for cell in cells
+        ],
+        n_jobs=n_jobs, cache=cache, checkpoint=checkpoint, retries=retries,
+        task_timeout=task_timeout, quarantine=quarantine,
     )
+
+
+def evaluate_policy_parallel(
+    config: SimulationConfig,
+    policy_name: str,
+    *,
+    estimation_error: float | None = None,
+    replications: int = 10,
+    base_seed: int = DEFAULT_BASE_SEED,
+    confidence: float = 0.95,
+    n_jobs: int = 2,
+    cache: ReplicationCache | None = None,
+) -> PolicyEvaluation:
+    """Replicated evaluation spread over *n_jobs* worker processes.
+
+    Runs one single-policy :class:`CellTask` through
+    :func:`run_cell_grid`, on the shared pool; the result is
+    bit-identical to the serial
+    :func:`~repro.core.evaluate.evaluate_policy` with the same seeds.
+    ``policy_name`` (plus the optional Figure 6 ``estimation_error``)
+    must resolve through :func:`repro.core.policies.get_policy` — the
+    policy is rebuilt inside each worker, so custom
+    :class:`~repro.core.policies.SchedulingPolicy` instances must use
+    the serial evaluator.  The default ``base_seed`` is the sweep
+    harness's (2000).  Pass a :class:`~repro.core.cache.ReplicationCache`
+    to reuse completed replications across invocations.
+    """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
+    # Validate the name up front (fail fast in the parent process).
+    policy = get_policy(policy_name, estimation_error=estimation_error)
+    cell = CellTask(
+        x=None,
+        config=config,
+        policy_names=(policy.name,),
+        base_names=(policy_name,),
+        estimation_errors=(estimation_error,),
+        seeds=tuple(replication_seeds(base_seed, replications)),
+    )
+    report = run_cell_grid([cell], n_jobs=n_jobs, cache=cache)
+    outcomes = [report.outcomes[cell.member_key(0, r)] for r in range(replications)]
+    return summarize_outcomes(policy.name, config, outcomes, confidence=confidence)

@@ -25,13 +25,7 @@ import numpy as np
 from ..core import PolicyEvaluation, get_policy
 from ..obs import counters as obs_counters
 from ..core.cache import ReplicationCache, default_cache
-from ..core.executor import (
-    CellTask,
-    ReplicationTask,
-    run_cell_grid,
-    run_replication_grid,
-    summarize_outcomes,
-)
+from ..core.executor import CellTask, run_cell_grid, summarize_outcomes
 from ..rng import replication_seeds
 from ..sim import SimulationConfig
 
@@ -153,20 +147,18 @@ def run_policy_sweep(
     task_timeout: float | None = None,
     quarantine: bool = False,
     checkpoint=None,
-    cell_batch: bool | None = None,
 ) -> SweepResult:
     """Evaluate each policy at each sweep point.
 
-    By default the sweep runs **cell-batched**: each sweep point becomes
-    one :class:`~repro.core.executor.CellTask` whose replications share
+    Every sweep runs **cell-batched**: each sweep point becomes one
+    :class:`~repro.core.executor.CellTask` whose replications share
     materialized arrival/size streams across every policy (common random
     numbers make the draws identical, so sampling once per replication
-    is free speedup).  Hardening knobs (``retries``, ``task_timeout``,
-    ``quarantine``) are only offered by the flat per-replication grid,
-    so requesting any of them routes the sweep there instead.  Both
-    paths share task keys and cache entries and are bit-identical for
-    the same seeds — same per-replication streams, order-insensitive
-    aggregation.
+    is free speedup), run by :func:`~repro.core.executor.run_cell_grid`.
+    The hardening knobs (``retries``, ``task_timeout``, ``quarantine``)
+    act per (point, policy, replication) member, and a hardened sweep is
+    bit-identical to an unhardened one — same per-replication streams,
+    order-insensitive aggregation.
 
     Parameters
     ----------
@@ -191,24 +183,12 @@ def run_policy_sweep(
         already carries one — fault experiments set it per point).
     retries / task_timeout / quarantine / checkpoint:
         Harness hardening, forwarded to
-        :func:`~repro.core.executor.run_replication_grid`: bounded
-        retries for crashed or timed-out replications, per-task
-        wall-clock budget, structured quarantine instead of an
-        aggregate abort, and a :class:`~repro.core.checkpoint.SweepCheckpoint`
-        so ``repro run --resume`` skips finished cells.
-    cell_batch:
-        ``None`` (default) batches whole cells whenever no hardening
-        knob is in play; ``False`` forces the flat per-replication
-        grid; ``True`` insists on cell batching and raises if a
-        hardening knob was also requested.
+        :func:`~repro.core.executor.run_cell_grid`: bounded retries for
+        crashed or timed-out replications, a per-replication wall-clock
+        budget, structured quarantine instead of an aggregate abort,
+        and a :class:`~repro.core.checkpoint.SweepCheckpoint` so
+        ``repro run --resume`` skips finished replications.
     """
-    hardened = retries != 0 or task_timeout is not None or quarantine
-    if cell_batch is True and hardened:
-        raise ValueError(
-            "cell_batch=True is incompatible with retries/task_timeout/"
-            "quarantine; the hardened path runs per-replication tasks"
-        )
-    use_cells = cell_batch if cell_batch is not None else not hardened
     x_values = [float(x) for x in x_values]
     result = SweepResult(
         experiment_id=experiment_id,
@@ -223,12 +203,11 @@ def run_policy_sweep(
         cache = default_cache()
     counters_before = obs_counters.snapshot()
 
-    # Plan: flatten the sweep into one replication grid.
+    # Plan: one cell per sweep point.
     t_plan = time.perf_counter()
     seeds = replication_seeds(scale.base_seed, scale.replications)
     display: dict[str, str] = {}
     configs: dict[float, SimulationConfig] = {}
-    tasks: list[ReplicationTask] = []
     cell_tasks: list[CellTask] = []
     for x in x_values:
         base = config_for_x(x)
@@ -256,47 +235,27 @@ def run_policy_sweep(
             cell_errors.append(err)
             # Resolve up front: fail fast and fix the display name.
             display[name] = get_policy(base_name, estimation_error=err).name
-            if not use_cells:
-                for r, seed in enumerate(seeds):
-                    tasks.append(
-                        ReplicationTask(
-                            key=(x, name, r),
-                            config=config,
-                            policy_name=base_name,
-                            estimation_error=err,
-                            seed=seed,
-                        )
-                    )
-        if use_cells:
-            cell_tasks.append(
-                CellTask(
-                    x=x,
-                    config=config,
-                    policy_names=tuple(policies),
-                    base_names=tuple(base_names),
-                    estimation_errors=tuple(cell_errors),
-                    seeds=tuple(seeds),
-                )
+        cell_tasks.append(
+            CellTask(
+                x=x,
+                config=config,
+                policy_names=tuple(policies),
+                base_names=tuple(base_names),
+                estimation_errors=tuple(cell_errors),
+                seeds=tuple(seeds),
             )
+        )
     plan_s = time.perf_counter() - t_plan
 
-    if use_cells:
-        report = run_cell_grid(
-            cell_tasks,
-            n_jobs=n_jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-        )
-    else:
-        report = run_replication_grid(
-            tasks,
-            n_jobs=n_jobs,
-            cache=cache,
-            retries=retries,
-            task_timeout=task_timeout,
-            quarantine=quarantine,
-            checkpoint=checkpoint,
-        )
+    report = run_cell_grid(
+        cell_tasks,
+        n_jobs=n_jobs,
+        cache=cache,
+        retries=retries,
+        task_timeout=task_timeout,
+        quarantine=quarantine,
+        checkpoint=checkpoint,
+    )
 
     # Aggregate in (x, policy, seed) order — completion order never
     # matters, so parallel and serial sweeps summarize identically.

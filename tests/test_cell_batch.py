@@ -387,7 +387,7 @@ class TestCellGrid:
 
 
 class TestSweepIntegration:
-    def test_cell_batch_sweep_identical_to_flat_sweep(self):
+    def test_hardened_sweep_identical_to_default_sweep(self):
         from repro.experiments.base import Scale, run_policy_sweep
 
         scale = Scale("test", duration=5000.0, replications=2, base_seed=99)
@@ -403,26 +403,24 @@ class TestSweepIntegration:
             x_values=[1.0, 3.0], config_for_x=config_for_x,
             policies=["ORR", "WRAN"], scale=scale, cache=None,
         )
-        flat = run_policy_sweep(cell_batch=False, **common)
-        cell = run_policy_sweep(cell_batch=True, **common)
-        default = run_policy_sweep(**common)  # routes to cells
+        default = run_policy_sweep(**common)
+        hardened = run_policy_sweep(retries=1, quarantine=True, **common)
         for p in ("ORR", "WRAN"):
             np.testing.assert_array_equal(
-                flat.series(p, "mean_response_ratio"),
-                cell.series(p, "mean_response_ratio"),
-            )
-            np.testing.assert_array_equal(
-                cell.series(p, "mean_response_ratio"),
+                hardened.series(p, "mean_response_ratio"),
                 default.series(p, "mean_response_ratio"),
             )
 
-    def test_cell_batch_rejects_hardening_knobs(self):
+    def test_sweep_validates_hardening_knobs(self):
         from repro.experiments.base import Scale, run_policy_sweep
 
         scale = Scale("test", duration=5000.0, replications=1)
-        with pytest.raises(ValueError, match="cell_batch"):
-            run_policy_sweep(
-                experiment_id="t", title="t", x_label="x", x_values=[1.0],
-                config_for_x=lambda x: small_config(), policies=["ORR"],
-                scale=scale, cache=None, cell_batch=True, retries=2,
-            )
+        common = dict(
+            experiment_id="t", title="t", x_label="x", x_values=[1.0],
+            config_for_x=lambda x: small_config(), policies=["ORR"],
+            scale=scale, cache=None,
+        )
+        with pytest.raises(ValueError, match="retries"):
+            run_policy_sweep(retries=-1, **common)
+        with pytest.raises(ValueError, match="task_timeout"):
+            run_policy_sweep(task_timeout=0.0, **common)

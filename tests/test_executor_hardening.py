@@ -2,9 +2,11 @@
 quarantine, and sweep checkpointing.
 
 Crash/stall injection uses the module-level ``_TEST_WORKER_HOOK`` seam:
-set before the pool forks, it runs inside each worker ahead of the real
-task.  Hooks coordinate through flag files so a task can fail exactly
-once and then succeed — the retry path must finish the job.
+set before the pool forks, it runs inside each worker once per member
+ahead of the real work.  Hooks coordinate through flag files so a task
+can fail exactly once and then succeed — the retry path must finish the
+job.  The same hooks drive both grids: the per-replication oracle and
+the cell grid every sweep runs on.
 """
 
 import os
@@ -17,9 +19,11 @@ import pytest
 from repro.core import executor as ex
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.executor import (
+    CellTask,
     GridTaskError,
     ReplicationTask,
     TaskFailure,
+    run_cell_grid,
     run_replication_grid,
     shutdown_shared_executor,
 )
@@ -256,3 +260,160 @@ class TestCheckpoint:
         assert loaded[:4] == outcome[:4]
         np.testing.assert_array_equal(loaded[4], outcome[4])
         assert loaded[5] == outcome[5]
+
+
+class TestTimeoutAlwaysEnforced:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_single_stuck_task_times_out(self, worker_hook, n_jobs):
+        def stall(task):
+            time.sleep(3.0)
+
+        worker_hook(stall)
+        t0 = time.monotonic()
+        report = run_replication_grid(_tasks(replications=1), n_jobs=n_jobs,
+                                      task_timeout=0.5, quarantine=True)
+        assert time.monotonic() - t0 < 2.5  # did not wait out the stall
+        assert len(report.failures) == 1
+        assert "wall-clock budget" in report.failures[0].error
+        assert report.outcomes == {}
+
+
+def _cells(policies=("ORR", "WRR"), replications=2, xs=(1.0, 4.0)):
+    config = SimulationConfig(**SMOKE)
+    seeds = tuple(replication_seeds(2000, replications))
+    return [
+        CellTask(x=x, config=config, policy_names=tuple(policies),
+                 base_names=tuple(policies),
+                 estimation_errors=(None,) * len(policies), seeds=seeds)
+        for x in xs
+    ]
+
+
+def _assert_same_outcomes(got: dict, want: dict):
+    assert set(got) == set(want)
+    for key, expected in want.items():
+        assert got[key][:4] == expected[:4], key
+        np.testing.assert_array_equal(got[key][4], expected[4])
+
+
+class TestCellGridHardening:
+    def test_crash_once_member_recovers_with_one_retry(self, worker_hook,
+                                                       tmp_path):
+        # One policy, two replications, two workers: every slice holds
+        # one member, so the crash is charged to it and retried.
+        cells = _cells(policies=("ORR",))
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        flag = str(tmp_path / "flag")
+        worker_hook(_crash_once_hook(flag, (4.0, "ORR", 1)))
+        report = run_cell_grid(cells, n_jobs=2, retries=1)
+        assert os.path.exists(flag)
+        assert report.retried == 1
+        assert report.failures == []
+        _assert_same_outcomes(report.outcomes, undisturbed.outcomes)
+
+    def test_failed_slice_reruns_members_uncharged(self, worker_hook,
+                                                   tmp_path):
+        # In-process a cell is one slice: the crash fails the slice,
+        # whose members then re-run alone without spending an attempt.
+        cells = _cells()
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        flag = str(tmp_path / "flag")
+        worker_hook(_crash_once_hook(flag, (1.0, "WRR", 0)))
+        report = run_cell_grid(cells, n_jobs=1)
+        assert os.path.exists(flag)
+        assert report.retried == 0
+        _assert_same_outcomes(report.outcomes, undisturbed.outcomes)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_poisoned_member_quarantined_alone(self, worker_hook, n_jobs):
+        cells = _cells()
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        victim = (4.0, "WRR", 1)
+
+        def poison(task):
+            if task.key == victim:
+                raise RuntimeError("poison member")
+
+        worker_hook(poison)
+        report = run_cell_grid(cells, n_jobs=n_jobs, retries=1,
+                               quarantine=True)
+        assert [(f.key, f.attempts) for f in report.failures] == [(victim, 2)]
+        assert "poison member" in report.failures[0].error
+        assert report.retried == 1
+        expected = dict(undisturbed.outcomes)
+        del expected[victim]
+        _assert_same_outcomes(report.outcomes, expected)
+
+    def test_killed_worker_mid_cell_recovers(self, worker_hook, tmp_path):
+        cells = _cells()
+        undisturbed = run_cell_grid(cells, n_jobs=1)
+        flag = str(tmp_path / "flag")
+        worker_hook(_crash_once_hook(flag, (1.0, "WRR", 1),
+                                     sig=signal.SIGKILL))
+        report = run_cell_grid(cells, n_jobs=2, retries=1)
+        assert os.path.exists(flag)  # the kill really happened
+        assert report.failures == []
+        _assert_same_outcomes(report.outcomes, undisturbed.outcomes)
+
+    def test_resume_from_half_written_checkpoint(self, worker_hook,
+                                                 tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        cells = _cells()
+        first = run_cell_grid(cells, n_jobs=1,
+                              checkpoint=SweepCheckpoint(path))
+        lines = path.read_text().splitlines()
+        kept = lines[: len(lines) // 2]
+        torn = lines[len(lines) // 2][:10]  # an interrupted append
+        path.write_text("\n".join(kept + [torn]) + "\n")
+        done = set(SweepCheckpoint(path).load())
+        assert len(done) == len(kept)
+
+        def no_recompute(task):
+            if task.key in done:
+                raise AssertionError("checkpointed member recomputed")
+
+        worker_hook(no_recompute)
+        report = run_cell_grid(cells, n_jobs=1,
+                               checkpoint=SweepCheckpoint(path))
+        assert report.checkpoint_hits == len(kept)
+        _assert_same_outcomes(report.outcomes, first.outcomes)
+        assert len(SweepCheckpoint(path)) == len(first.outcomes)
+
+
+class TestDeadWorkerOnDefaultSweep:
+    def test_pool_rebuilt_and_error_names_members(self, worker_hook,
+                                                  monkeypatch):
+        from repro.experiments.base import SCALES
+        from repro.experiments.figure3 import run_figure3
+
+        smoke = SCALES["smoke"]
+        kwargs = dict(fast_speeds=(1.0, 10.0), policies=("WRR", "ORR"))
+        reference = run_figure3(smoke, **kwargs)
+        parent = os.getpid()
+        real = ex._run_cell_members
+
+        def die_in_worker(task, members, pool):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(task, members, pool)
+
+        monkeypatch.setattr(ex, "_run_cell_members", die_in_worker)
+        with pytest.raises(GridTaskError, match="grid tasks failed") as err:
+            run_figure3(smoke, n_jobs=2, **kwargs)
+        members = {
+            (x, p, r)
+            for x in reference.x_values
+            for p in reference.policies
+            for r in range(smoke.replications)
+        }
+        assert {f.key for f in err.value.failures} == members
+        monkeypatch.undo()
+
+        # The broken pool was replaced: later sweeps in this process run.
+        for extra in ({}, {"retries": 1}):
+            again = run_figure3(smoke, n_jobs=2, **extra, **kwargs)
+            for p in reference.policies:
+                np.testing.assert_array_equal(
+                    again.series(p, "mean_response_ratio"),
+                    reference.series(p, "mean_response_ratio"),
+                )

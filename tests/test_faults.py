@@ -331,3 +331,29 @@ class TestGridDeterminism:
             assert a[:4] == b[:4]
             np.testing.assert_array_equal(a[4], b[4])
             assert a[5] == b[5]
+
+    def test_every_evaluator_reports_loss_rate(self):
+        from repro.core import (
+            evaluate_cell,
+            evaluate_policy,
+            evaluate_policy_parallel,
+            shutdown_shared_executor,
+        )
+
+        cfg = SimulationConfig(
+            speeds=(1.0, 1.0, 10.0), utilization=0.6, duration=5.0e3,
+            faults=FaultConfig(mtbf=500.0, mttr=50.0),
+        )
+        try:
+            par = evaluate_policy_parallel(cfg, "ORR", replications=2,
+                                           base_seed=2000)
+        finally:
+            shutdown_shared_executor()
+        ser = evaluate_policy(cfg, get_policy("ORR"), replications=2,
+                              base_seed=2000)
+        cell = evaluate_cell(cfg, ["ORR"], replications=2,
+                             base_seed=2000)["ORR"]
+        assert par.loss_rate is not None and par.loss_rate.mean > 0
+        for ev in (ser, cell):
+            assert ev.loss_rate == par.loss_rate
+            assert ev.mean_response_time == par.mean_response_time

@@ -7,9 +7,10 @@ canonical report JSON.  They freeze two things at once:
 
 * **seed stability** — the RNG layout (base_seed 2000, spawn-key
   substreams) keeps producing the same trajectories release to release;
-* **cross-path bit-identity** — the serial flat grid, the parallel
-  grid, the cell-batched sweep, and the pure-Python PS kernel must all
-  hash to the same digest, not merely be "close".
+* **cross-path bit-identity** — the default cell-batched sweep, the
+  serial and parallel hardened sweeps (retries and quarantine on), and
+  the pure-Python PS kernel must all hash to the same digest, not
+  merely be "close".
 
 If a digest changes legitimately (an intentional RNG or kernel-order
 change), recompute it with the corresponding ``run_*``/digest call and
@@ -37,6 +38,7 @@ from repro.sim.modulated import step_profile
 
 SMOKE = SCALES["smoke"]
 FIGURE3_KWARGS = dict(fast_speeds=(1.0, 10.0), policies=("WRR", "ORR"))
+HARDENED = dict(retries=1, quarantine=True)
 
 #: SHA-256 of the figure3 smoke subset (2 points x WRR/ORR x 2 reps).
 FIGURE3_SMOKE_DIGEST = (
@@ -53,23 +55,21 @@ SINGLE_REPLICATION_DIGEST = (
 
 
 class TestFigure3GoldenDigest:
-    def test_serial_flat_grid(self):
-        result = run_figure3(SMOKE, cell_batch=False, **FIGURE3_KWARGS)
+    def test_serial_hardened_sweep(self):
+        result = run_figure3(SMOKE, **HARDENED, **FIGURE3_KWARGS)
         assert sweep_digest(result) == FIGURE3_SMOKE_DIGEST
 
     def test_parallel_grid(self):
-        result = run_figure3(
-            SMOKE, cell_batch=False, n_jobs=2, **FIGURE3_KWARGS
-        )
+        result = run_figure3(SMOKE, n_jobs=2, **HARDENED, **FIGURE3_KWARGS)
         assert sweep_digest(result) == FIGURE3_SMOKE_DIGEST
 
-    def test_cell_batched(self):
-        result = run_figure3(SMOKE, cell_batch=True, **FIGURE3_KWARGS)
+    def test_default_cell_sweep(self):
+        result = run_figure3(SMOKE, **FIGURE3_KWARGS)
         assert sweep_digest(result) == FIGURE3_SMOKE_DIGEST
 
     def test_python_kernel(self, monkeypatch):
         monkeypatch.setattr(ckernel, "_fns", False)  # force the Python loop
-        result = run_figure3(SMOKE, cell_batch=False, **FIGURE3_KWARGS)
+        result = run_figure3(SMOKE, **HARDENED, **FIGURE3_KWARGS)
         assert sweep_digest(result) == FIGURE3_SMOKE_DIGEST
 
 

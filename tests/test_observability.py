@@ -336,25 +336,25 @@ def _mini_sweep(**kwargs):
 
 class TestCounterIdentityAcrossPaths:
     def test_serial_grid_cell_and_python_kernel_agree(self, monkeypatch):
-        serial = _mini_sweep(cell_batch=False)
+        serial = _mini_sweep(retries=1, quarantine=True)
         reference = _ledger(serial.counters)
         assert reference["runs.completed"] == 8  # 2 points x 2 policies x 2
         assert sum(v for k, v in reference.items()
                    if k.startswith("jobs.dispatched")) > 0
 
-        grid = _mini_sweep(cell_batch=False, n_jobs=2)
+        grid = _mini_sweep(retries=1, quarantine=True, n_jobs=2)
         assert _ledger(grid.counters) == reference
 
-        cell = _mini_sweep(cell_batch=True)
+        cell = _mini_sweep()
         assert _ledger(cell.counters) == reference
 
         monkeypatch.setattr(ckernel, "_fns", False)  # force the Python loop
-        python_path = _mini_sweep(cell_batch=False)
+        python_path = _mini_sweep(retries=1, quarantine=True)
         assert _ledger(python_path.counters) == reference
 
     def test_sweep_counters_match_summed_run_ledgers(self):
         """SweepResult.counters equals the sum of each member's ledger."""
-        sweep = _mini_sweep(cell_batch=False)
+        sweep = _mini_sweep(retries=1, quarantine=True)
         expected: dict = {}
         scale = Scale("obs-test", duration=4.0e3, replications=2)
         from repro.rng import replication_seeds
