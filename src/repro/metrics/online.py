@@ -85,6 +85,19 @@ class RunningStats:
         self._max = -math.inf
         self._total = 0.0
 
+    @classmethod
+    def from_state(cls, count, mean, m2, total, minimum, maximum) -> "RunningStats":
+        """An accumulator holding state folded elsewhere (a compiled loop
+        running the same Welford updates as :meth:`add`)."""
+        out = cls()
+        out.count = int(count)
+        out._mean = float(mean)
+        out._m2 = float(m2)
+        out._total = float(total)
+        out._min = float(minimum)
+        out._max = float(maximum)
+        return out
+
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------

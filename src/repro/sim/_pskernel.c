@@ -623,3 +623,316 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
                        completions, cut, resp, ratio, pcounts, nthreads);
     return 0;
 }
+
+/* ------------------------------------------------------------------
+ * Dynamic Least-Load event engine
+ * ------------------------------------------------------------------
+ *
+ * The compiled mirror of repro.sim.engine.run_simulation for the
+ * LeastLoadDispatcher over PS or FCFS servers, fault-free.  Every step
+ * copies the Python engine's order of operations:
+ *
+ *   - events sit in one min-heap ordered by (time, kind, seq), kinds
+ *     DEPARTURE < ARRIVAL < LOAD_UPDATE, seq a global push counter;
+ *     departures carry the server's version and stale ones are skipped;
+ *   - PS servers keep virtual-time tags (tag, arrival index) — the
+ *     index orders a server's jobs exactly as its push counter does —
+ *     with the clamp and the idle reset of ProcessorSharingServer;
+ *     FCFS servers keep a FIFO threaded through next[] and the
+ *     head-completion recurrence of FCFSServer;
+ *   - dispatch is the argmin of (q+1)/speed over the scheduler's known
+ *     queues, ties to the fastest server, then the lowest index;
+ *   - post-warm-up completions fold into three Welford accumulators
+ *     exactly as RunningStats.add does;
+ *   - each departure draws its notification delay from the
+ *     replication's feedback generator through numpy's own C
+ *     distribution functions (libnpyrandom), so the draws and the
+ *     generator's final state match FeedbackModel.sample_delay.
+ *
+ * Arrival instants (all <= the horizon) and sizes come pre-drawn from
+ * Python.  The arrival past the horizon is never pushed: seq only
+ * orders events relative to each other, so leaving one push out
+ * changes no comparison.
+ */
+#ifndef PK_NO_NPYRANDOM
+#include <stdlib.h>
+
+struct bitgen;
+double random_uniform(struct bitgen *state, double lower, double range);
+double random_exponential(struct bitgen *state, double scale);
+
+enum { LL_DEPARTURE = 0, LL_ARRIVAL = 1, LL_LOAD_UPDATE = 2 };
+
+typedef struct { double t; i64 kind, seq, a, b; } ll_event;
+
+typedef struct { ll_event *e; i64 n, cap; } ll_heap;
+
+static inline int ev_lt(const ll_event *x, const ll_event *y) {
+    if (x->t < y->t) return 1;
+    if (x->t > y->t) return 0;
+    if (x->kind != y->kind) return x->kind < y->kind;
+    return x->seq < y->seq;
+}
+
+static int ev_push(ll_heap *h, double t, i64 kind, i64 seq, i64 a, i64 b) {
+    if (h->n == h->cap) {
+        i64 cap = h->cap ? 2 * h->cap : 64;
+        ll_event *e = realloc(h->e, (size_t)cap * sizeof(ll_event));
+        if (!e) return -1;
+        h->e = e; h->cap = cap;
+    }
+    ll_event ev = {t, kind, seq, a, b};
+    i64 pos = h->n++;
+    while (pos > 0) {
+        i64 p = (pos - 1) / 2;
+        if (!ev_lt(&ev, &h->e[p])) break;
+        h->e[pos] = h->e[p];
+        pos = p;
+    }
+    h->e[pos] = ev;
+    return 0;
+}
+
+static ll_event ev_pop(ll_heap *h) {
+    ll_event top = h->e[0];
+    ll_event last = h->e[--h->n];
+    i64 n = h->n, pos = 0;
+    for (;;) {
+        i64 c = 2 * pos + 1;
+        if (c >= n) break;
+        if (c + 1 < n && ev_lt(&h->e[c + 1], &h->e[c])) c++;
+        if (!ev_lt(&h->e[c], &last)) break;
+        h->e[pos] = h->e[c];
+        pos = c;
+    }
+    if (n > 0) h->e[pos] = last;
+    return top;
+}
+
+typedef struct {
+    double speed, busy, t_last, v, head_done;
+    i64 version, sched, received, completed, n;
+    double *ht; i64 *hi; i64 cap;   /* PS tag heap */
+    i64 head, tail;                 /* FCFS FIFO over next[] */
+} ll_server;
+
+typedef struct { i64 count; double mean, m2, total, min, max; } ll_stats;
+
+static inline void stats_add(ll_stats *s, double x) {
+    s->count++;
+    double delta = x - s->mean;
+    s->mean += delta / (double)s->count;
+    s->m2 += delta * (x - s->mean);
+    s->total += x;
+    if (x < s->min) s->min = x;
+    if (x > s->max) s->max = x;
+}
+
+/* PS virtual clock and busy time up to now (ProcessorSharingServer._advance). */
+static inline void ps_advance(ll_server *s, double now) {
+    if (s->n > 0) {
+        s->v += (now - s->t_last) * s->speed / (double)s->n;
+        s->busy += now - s->t_last;
+    }
+    s->t_last = now;
+}
+
+static int ps_arrive(ll_server *s, i64 job, double size, double now) {
+    ps_advance(s, now);
+    if (s->n == s->cap) {
+        i64 cap = s->cap ? 2 * s->cap : 16;
+        double *ht = realloc(s->ht, (size_t)cap * sizeof(double));
+        if (!ht) return -1;
+        s->ht = ht;
+        i64 *hi = realloc(s->hi, (size_t)cap * sizeof(i64));
+        if (!hi) return -1;
+        s->hi = hi; s->cap = cap;
+    }
+    s->ht[s->n] = s->v + size; s->hi[s->n] = job;
+    sift_up(s->ht, s->hi, s->n);
+    s->n++;
+    s->received++;
+    s->version++;
+    return 0;
+}
+
+static i64 ps_depart(ll_server *s, double now) {
+    ps_advance(s, now);
+    double tag = s->ht[0];
+    i64 job = s->hi[0];
+    s->n--;
+    if (s->n > 0) {
+        s->ht[0] = s->ht[s->n]; s->hi[0] = s->hi[s->n];
+        sift_down(s->ht, s->hi, s->n, 0);
+    }
+    if (s->v < tag) s->v = tag;
+    if (s->n == 0) s->v = 0.0;
+    s->completed++;
+    s->version++;
+    return job;
+}
+
+static inline void fcfs_account(ll_server *s, double now) {
+    if (s->n > 0) s->busy += now - s->t_last;
+    s->t_last = now;
+}
+
+static void fcfs_arrive(ll_server *s, i64 job, double size, double now, i64 *next) {
+    fcfs_account(s, now);
+    if (s->n == 0) {
+        s->head_done = now + size / s->speed;
+        s->head = job;
+    } else {
+        next[s->tail] = job;
+    }
+    s->tail = job;
+    s->n++;
+    s->received++;
+    s->version++;
+}
+
+static i64 fcfs_depart(ll_server *s, double now, const double *sizes, const i64 *next) {
+    fcfs_account(s, now);
+    i64 job = s->head;
+    s->n--;
+    s->completed++;
+    if (s->n > 0) {
+        s->head = next[job];
+        s->head_done = now + sizes[s->head] / s->speed;
+    }
+    s->version++;
+    return job;
+}
+
+/* The engine's resync(i): schedule the server's next departure after
+ * a state change, stamped with its version. */
+static int ll_resync(ll_heap *h, i64 *seq, ll_server *s, i64 i, i64 use_ps) {
+    if (s->sched == s->version) return 0;
+    s->sched = s->version;
+    if (s->n == 0) return 0;
+    double t;
+    if (use_ps) {
+        double dt = (s->ht[0] - s->v) * (double)s->n / s->speed;
+        t = s->t_last + (dt > 0.0 ? dt : 0.0);
+    } else {
+        t = s->head_done;
+    }
+    return ev_push(h, t, LL_DEPARTURE, ++*seq, i, s->version);
+}
+
+/* Run one Least-Load replication.
+ *
+ * times/sizes: the n arrivals at or before the horizon, in order.
+ * speeds: the servers' speeds; ll_speeds: the dispatcher's; known: its
+ * known queue lengths (in/out, left as the Python dispatcher's are).
+ * bitgen: the feedback generator's bitgen_t, used only when feedback.
+ * targets: per-arrival dispatch decisions (out), or NULL.
+ * busy/received/completed/dcounts: per-server outputs (dcounts counts
+ * post-warm-up dispatches); stats: 3 x [count, mean, m2, total, min,
+ * max] for response time, response ratio and job size.
+ *
+ * Returns 0 on success, -1 on allocation failure, and s+1 when a load
+ * update for server s found its known queue already 0.
+ */
+i64 least_load_run(const double *times, const double *sizes, i64 n,
+                   const double *speeds, i64 nservers, i64 use_ps,
+                   const double *ll_speeds, i64 *known,
+                   double duration, double warmup, i64 drain,
+                   void *bitgen, i64 feedback, double detection,
+                   double delay_mean, i64 *targets,
+                   double *busy, i64 *received, i64 *completed,
+                   i64 *dcounts, double *stats) {
+    struct bitgen *bg = (struct bitgen *)bitgen;
+    ll_server *srv = calloc((size_t)nservers, sizeof(ll_server));
+    i64 *next = use_ps ? NULL : malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+    ll_heap heap = {NULL, 0, 0};
+    ll_stats st[3];
+    i64 rc = 0, seq = 0, arrived = 0;
+    if (!srv || (!use_ps && !next)) { rc = -1; goto done; }
+    for (i64 i = 0; i < nservers; i++) {
+        srv[i].speed = speeds[i];
+        dcounts[i] = 0;
+    }
+    for (int k = 0; k < 3; k++) {
+        st[k].count = 0;
+        st[k].mean = st[k].m2 = st[k].total = 0.0;
+        st[k].min = INFINITY;
+        st[k].max = -INFINITY;
+    }
+    if (n > 0 && ev_push(&heap, times[0], LL_ARRIVAL, ++seq, 0, 0)) { rc = -1; goto done; }
+
+    while (heap.n > 0) {
+        ll_event ev = ev_pop(&heap);
+        double t = ev.t;
+        if (!drain && t > duration) break;
+        if (ev.kind == LL_DEPARTURE) {
+            ll_server *s = &srv[ev.a];
+            if (ev.b != s->version) continue;
+            i64 job = use_ps ? ps_depart(s, t) : fcfs_depart(s, t, sizes, next);
+            if (ll_resync(&heap, &seq, s, ev.a, use_ps)) { rc = -1; goto done; }
+            double arr = times[job];
+            if (!(arr < warmup)) {
+                double r = t - arr;
+                stats_add(&st[0], r);
+                stats_add(&st[1], r / sizes[job]);
+                stats_add(&st[2], sizes[job]);
+            }
+            if (feedback) {
+                double delay = 0.0;
+                if (detection > 0) delay += random_uniform(bg, 0.0, detection);
+                if (delay_mean > 0) delay += random_exponential(bg, delay_mean);
+                if (ev_push(&heap, t + delay, LL_LOAD_UPDATE, ++seq, ev.a, 0)) {
+                    rc = -1; goto done;
+                }
+            }
+        } else if (ev.kind == LL_ARRIVAL) {
+            i64 j = arrived++;
+            i64 best = 0;
+            double bv = (double)(known[0] + 1) / ll_speeds[0];
+            for (i64 i = 1; i < nservers; i++) {
+                double v = (double)(known[i] + 1) / ll_speeds[i];
+                if (v < bv || (v == bv && ll_speeds[i] > ll_speeds[best])) {
+                    bv = v;
+                    best = i;
+                }
+            }
+            known[best]++;
+            ll_server *s = &srv[best];
+            if (use_ps) {
+                if (ps_arrive(s, j, sizes[j], t)) { rc = -1; goto done; }
+            } else {
+                fcfs_arrive(s, j, sizes[j], t, next);
+            }
+            if (ll_resync(&heap, &seq, s, best, use_ps)) { rc = -1; goto done; }
+            if (t >= warmup) dcounts[best]++;
+            if (targets) targets[j] = best;
+            if (arrived < n &&
+                ev_push(&heap, times[arrived], LL_ARRIVAL, ++seq, 0, 0)) {
+                rc = -1; goto done;
+            }
+        } else {
+            if (known[ev.a] <= 0) { rc = ev.a + 1; goto done; }
+            known[ev.a]--;
+        }
+    }
+
+    for (i64 i = 0; i < nservers; i++) {
+        busy[i] = srv[i].busy;
+        received[i] = srv[i].received;
+        completed[i] = srv[i].completed;
+    }
+    for (int k = 0; k < 3; k++) {
+        double *o = stats + 6 * k;
+        o[0] = (double)st[k].count;
+        o[1] = st[k].mean; o[2] = st[k].m2; o[3] = st[k].total;
+        o[4] = st[k].min; o[5] = st[k].max;
+    }
+done:
+    if (srv)
+        for (i64 i = 0; i < nservers; i++) { free(srv[i].ht); free(srv[i].hi); }
+    free(srv);
+    free(next);
+    free(heap.e);
+    return rc;
+}
+#endif /* PK_NO_NPYRANDOM */

@@ -23,14 +23,19 @@ is applied only across slices with disjoint outputs, so the thread
 count cannot affect the bits either; the cross-checking tests assert
 ``np.array_equal`` against the Python formulations at 1 and N threads.
 
+The same library carries the compiled Dynamic Least-Load event loop
+(:func:`least_load_fn`, called from :func:`repro.sim.engine.run_simulation`),
+which links numpy's static ``libnpyrandom`` to draw its feedback delays
+with numpy's own distribution code.
+
 The shared object is cached under ``$XDG_CACHE_HOME/repro-sched`` (or
-the system temp directory), keyed by the SHA-256 of the C source and
-the OpenMP variant, and published with an atomic rename so concurrent
-grid workers never race.  Everything degrades gracefully: no compiler,
-a failed compile, or ``REPRO_DISABLE_CKERNEL=1`` simply leaves the
-numpy/Python path in place; a toolchain without ``-fopenmp`` gets a
-serial compile and a ``ckernel.openmp_unavailable`` counter, never a
-failure.
+the system temp directory), keyed by the SHA-256 of the C source, the
+numpy version and link inputs, and the OpenMP variant, and published
+with an atomic rename so concurrent grid workers never race.
+Everything degrades gracefully: no compiler, a failed compile, or
+``REPRO_DISABLE_CKERNEL=1`` simply leaves the numpy/Python path in
+place; a toolchain without ``-fopenmp`` gets a serial compile and a
+``ckernel.openmp_unavailable`` counter, never a failure.
 
 Scratch memory for the compiled entry points comes from a per-process
 :class:`Arena` — named buffers grown to the largest replication seen
@@ -63,6 +68,7 @@ __all__ = [
     "rr_fn",
     "ewma_fn",
     "p2_fn",
+    "least_load_fn",
     "kernel_available",
     "compiled_library_path",
     "compile_flags",
@@ -79,6 +85,7 @@ __all__ = [
     "rr_extend_c",
     "ewma_fold_c",
     "p2_fold_c",
+    "run_least_load_c",
 ]
 
 _SOURCE = Path(__file__).with_name("_pskernel.c")
@@ -107,6 +114,7 @@ class _Lib:
     rr_extend: object
     ewma: object
     p2: object
+    least_load: object
     max_threads: object
     set_threads: object
     openmp: bool
@@ -124,10 +132,32 @@ def _cache_dir() -> Path:
     return base / "repro-sched"
 
 
+def _npyrandom() -> Path | None:
+    """numpy's static C distribution library, when this numpy ships it.
+
+    The Least-Load engine links it to draw feedback delays with the very
+    functions ``Generator.uniform``/``exponential`` call.  Without it
+    the kernel is built without that engine (``-DPK_NO_NPYRANDOM``).
+    """
+    lib = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    return lib if lib.exists() else None
+
+
+def _link_args() -> tuple[str, ...]:
+    """Compile arguments after the flags: defines, source, link inputs."""
+    archive = _npyrandom()
+    if archive is None:
+        return ("-DPK_NO_NPYRANDOM", str(_SOURCE))
+    return (str(_SOURCE), str(archive), "-lm")
+
+
 def _lib_path(openmp: bool) -> Path:
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    # The library embeds numpy's RNG code, so a numpy upgrade (or a
+    # numpy without the archive) must not reuse a stale build.
+    h = hashlib.sha256(_SOURCE.read_bytes())
+    h.update(f"numpy-{np.__version__}|{' '.join(_link_args())}".encode())
     suffix = "-omp" if openmp else ""
-    return _cache_dir() / f"pskernel-{digest}{suffix}.so"
+    return _cache_dir() / f"pskernel-{h.hexdigest()[:16]}{suffix}.so"
 
 
 def compiled_library_path() -> Path:
@@ -153,7 +183,7 @@ def _compile_variant(gcc: str, target: Path, flags: tuple[str, ...]) -> Path | N
     staging = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         subprocess.run(
-            [gcc, *flags, "-o", str(staging), str(_SOURCE)],
+            [gcc, *flags, "-o", str(staging), *_link_args()],
             check=True,
             capture_output=True,
             timeout=120,
@@ -318,6 +348,35 @@ def _load(path: Path, openmp: bool) -> _Lib:
         ctypes.c_longlong,  # m
     ]
     p2.restype = None
+    try:
+        least_load = lib.least_load_run
+    except AttributeError:  # built without libnpyrandom
+        least_load = None
+    else:
+        least_load.argtypes = [
+            _c_double_p,  # times (arrivals <= horizon)
+            _c_double_p,  # sizes
+            ctypes.c_longlong,  # n
+            _c_double_p,  # server speeds
+            ctypes.c_longlong,  # nservers
+            ctypes.c_longlong,  # use_ps
+            _c_double_p,  # dispatcher speeds
+            _c_i64_p,  # known queue lengths (in/out)
+            ctypes.c_double,  # duration
+            ctypes.c_double,  # warmup
+            ctypes.c_longlong,  # drain
+            ctypes.c_void_p,  # feedback bitgen_t
+            ctypes.c_longlong,  # feedback on
+            ctypes.c_double,  # detection window
+            ctypes.c_double,  # message delay mean
+            _c_i64_p,  # targets (out, or NULL)
+            _c_double_p,  # busy (out)
+            _c_i64_p,  # received (out)
+            _c_i64_p,  # completed (out)
+            _c_i64_p,  # post-warm-up dispatch counts (out)
+            _c_double_p,  # Welford stats (out, 3 x 6)
+        ]
+        least_load.restype = ctypes.c_longlong
     max_threads = lib.pk_max_threads
     max_threads.argtypes = []
     max_threads.restype = ctypes.c_longlong
@@ -335,6 +394,7 @@ def _load(path: Path, openmp: bool) -> _Lib:
         rr_extend=rr_extend,
         ewma=ewma,
         p2=p2,
+        least_load=least_load,
         max_threads=max_threads,
         set_threads=set_threads,
         openmp=openmp,
@@ -455,6 +515,16 @@ def p2_fn():
     """The P² streaming-quantile batch-fold entry point, or None."""
     lib = _ensure_fns()
     return lib.p2 if lib else None
+
+
+def least_load_fn():
+    """The compiled Dynamic Least-Load event loop, or None.
+
+    None also when the library was built without numpy's
+    ``libnpyrandom``; callers then stay on the Python engine.
+    """
+    lib = _ensure_fns()
+    return lib.least_load if lib else None
 
 
 def kernel_available() -> bool:
@@ -864,3 +934,88 @@ def map_uniform_c(fn, cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         ctypes.c_longlong(u.size),
         out.ctypes.data_as(_c_i64_p),
     )
+
+
+def run_least_load_c(
+    fn,
+    times: np.ndarray,
+    sizes: np.ndarray,
+    speeds: np.ndarray,
+    use_ps: bool,
+    ll_speeds: np.ndarray,
+    known: np.ndarray,
+    duration: float,
+    warmup: float,
+    drain: bool,
+    feedback_rng: np.random.Generator | None,
+    detection: float,
+    delay_mean: float,
+    targets: np.ndarray | None = None,
+):
+    """Run one Least-Load replication through the compiled event loop.
+
+    ``times``/``sizes`` are the arrivals at or before the horizon
+    (contiguous float64), ``known`` the dispatcher's int64 known-queue
+    array, updated in place.  ``feedback_rng`` (None: no feedback) is
+    advanced by exactly the draws the Python engine makes.  ``targets``
+    (int64, one per arrival) receives the dispatch decisions.
+
+    Returns ``(busy, received, completed, dispatch_counts, stats,
+    status)``: per-server arrays, the (3, 6) Welford state ``[count,
+    mean, m2, total, min, max]`` of response time, response ratio and
+    job size, and the kernel status (0 ok, -1 out of memory, ``s + 1``
+    when a load update found server ``s``'s known queue at 0).
+    """
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    sizes = np.ascontiguousarray(sizes, dtype=np.float64)
+    speeds = np.ascontiguousarray(speeds, dtype=np.float64)
+    ll_speeds = np.ascontiguousarray(ll_speeds, dtype=np.float64)
+    nservers = int(speeds.size)
+    outputs = [("known queues", known, nservers)]
+    if targets is not None:
+        outputs.append(("targets", targets, times.size))
+    for name, arr, size in [
+        ("sizes", sizes, times.size),
+        ("dispatcher speeds", ll_speeds, nservers),
+        *outputs,
+    ]:
+        if arr.size != size:
+            raise ValueError(f"{name}: {arr.size} entries, expected {size}")
+    for name, arr, _ in outputs:
+        if not (arr.dtype == np.int64 and arr.flags.c_contiguous
+                and arr.flags.writeable):
+            raise ValueError(f"{name} must be a writable contiguous int64 array")
+    busy = np.empty(nservers)
+    received = np.empty(nservers, dtype=np.int64)
+    completed = np.empty(nservers, dtype=np.int64)
+    dispatch_counts = np.empty(nservers, dtype=np.int64)
+    stats = np.empty((3, 6))
+    bitgen = (
+        feedback_rng.bit_generator.ctypes.bit_generator
+        if feedback_rng is not None
+        else None
+    )
+    status = fn(
+        times.ctypes.data_as(_c_double_p),
+        sizes.ctypes.data_as(_c_double_p),
+        ctypes.c_longlong(times.size),
+        speeds.ctypes.data_as(_c_double_p),
+        ctypes.c_longlong(nservers),
+        ctypes.c_longlong(1 if use_ps else 0),
+        ll_speeds.ctypes.data_as(_c_double_p),
+        known.ctypes.data_as(_c_i64_p),
+        ctypes.c_double(duration),
+        ctypes.c_double(warmup),
+        ctypes.c_longlong(1 if drain else 0),
+        bitgen,
+        ctypes.c_longlong(0 if feedback_rng is None else 1),
+        ctypes.c_double(detection),
+        ctypes.c_double(delay_mean),
+        None if targets is None else targets.ctypes.data_as(_c_i64_p),
+        busy.ctypes.data_as(_c_double_p),
+        received.ctypes.data_as(_c_i64_p),
+        completed.ctypes.data_as(_c_i64_p),
+        dispatch_counts.ctypes.data_as(_c_i64_p),
+        stats.ctypes.data_as(_c_double_p),
+    )
+    return busy, received, completed, dispatch_counts, stats, int(status)

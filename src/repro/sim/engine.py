@@ -23,6 +23,11 @@ before the run starts (:func:`repro.faults.models.build_timeline`), so
 faulty runs are exactly reproducible and the arrival/size/dispatch
 streams are never perturbed.  With ``faults=None`` none of this code
 runs and results are bit-identical to a fault-free build.
+
+Fault-free Dynamic Least-Load over PS or FCFS servers runs on a
+compiled copy of this loop (``least_load_run`` in ``_pskernel.c``)
+whenever the kernel is available; it reproduces this engine bit for
+bit, and this engine stays the oracle (``REPRO_DISABLE_CKERNEL=1``).
 """
 
 from __future__ import annotations
@@ -30,8 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..dispatch.base import Dispatcher
+from ..dispatch.least_load import LeastLoadDispatcher
+from ..metrics.online import RunningStats
 from ..metrics.response import MetricsCollector
+from ..obs import counters
 from ..obs.spans import span
+from . import ckernel
 from .arrivals import _CHUNK
 from .config import SimulationConfig
 from .events import EventKind, EventQueue
@@ -71,6 +80,123 @@ class _SizeStream:
         return float(x)
 
 
+def _arrival_times(dist, rng, horizon: float) -> np.ndarray:
+    """Every arrival instant at or before *horizon*.
+
+    Draws the same chunks as :class:`~repro.sim.arrivals.ArrivalStream`
+    and accumulates them sequentially from 0.0, as its ``next_arrival``
+    does: folding the carry into a chunk's first gap keeps ``cumsum``
+    (a sequential accumulate) on the exact same additions.
+    """
+    chunks = []
+    carry = 0.0
+    while True:
+        gaps = np.array(dist.sample(rng, _CHUNK), dtype=float)
+        gaps[0] += carry
+        times = np.cumsum(gaps)
+        chunks.append(times)
+        carry = times[-1]
+        if carry > horizon:
+            break
+    times = np.concatenate(chunks)
+    return times[: int(np.searchsorted(times, horizon, side="right"))]
+
+
+def _least_load_c(config, dispatcher, alphas, seed, record_trace):
+    """One replication on the compiled Least-Load loop.
+
+    Returns None, having run nothing, when the run is not eligible —
+    another dispatcher, faults, an ``rr_quantum`` server, a rate
+    profile, an unavailable kernel, or job sizes the Python engine must
+    report (non-positive or non-finite) — so the caller runs the engine.
+    """
+    if not (
+        type(dispatcher) is LeastLoadDispatcher
+        and config.discipline in ("ps", "fcfs")
+        and config.rate_profile is None
+        and (config.faults is None or not config.faults.enabled)
+        and dispatcher.speeds.size == config.n
+    ):
+        return None
+    fn = ckernel.least_load_fn()
+    if fn is None:
+        return None
+    streams = StreamFactory(seed)
+    workload = config.workload()
+    times = _arrival_times(workload.interarrival, streams.arrivals, config.duration)
+    # The size chunks _SizeStream would draw for this many arrivals.
+    draws = [
+        np.asarray(workload.sizes.sample(streams.sizes, _CHUNK), dtype=float)
+        for _ in range(-(-times.size // _CHUNK))
+    ]
+    sizes = np.concatenate(draws)[: times.size] if draws else np.empty(0)
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
+        return None
+    dispatcher.reset(alphas)
+    known = dispatcher._queue()
+    feedback = config.feedback
+    targets = np.empty(times.size, dtype=np.int64) if record_trace else None
+    with span("replay", backend="c", jobs=int(times.size)):
+        busy, received, completed, dispatch_counts, stats, status = (
+            ckernel.run_least_load_c(
+                fn, times, sizes, np.asarray(config.speeds),
+                config.discipline == "ps",
+                np.ascontiguousarray(dispatcher.speeds), known,
+                config.duration, config.warmup, config.drain,
+                streams.feedback if dispatcher.wants_feedback else None,
+                feedback.detection_window, feedback.message_delay_mean,
+                targets,
+            )
+        )
+    if status < 0:
+        raise MemoryError("the compiled Least-Load loop ran out of memory")
+    if status > 0:
+        dispatcher.on_load_update(status - 1)  # raises the double-count error
+    counters.inc("engine.engaged", policy=dispatcher.name, backend="c")
+    with span("summarize", jobs=int(times.size)):
+        metrics = MetricsCollector(warmup_end=config.warmup)
+        metrics.response_time = RunningStats.from_state(*stats[0])
+        metrics.response_ratio = RunningStats.from_state(*stats[1])
+        metrics.job_size = RunningStats.from_state(*stats[2])
+        trace = DispatchTrace(times=times, targets=targets) if record_trace else None
+        return _results(
+            config, metrics, config.speeds, received, completed, busy,
+            dispatch_counts, int(times.size), trace,
+        )
+
+
+def _results(
+    config, metrics, speeds, received, completed, busy, dispatch_counts,
+    total_arrivals, trace, fault_stats=None,
+) -> SimulationResults:
+    """Package one run's per-server ledgers and metrics."""
+    n = len(speeds)
+    post_warmup_total = int(dispatch_counts.sum())
+    fractions = (
+        dispatch_counts / post_warmup_total if post_warmup_total else np.zeros(n)
+    )
+    server_stats = tuple(
+        ServerStats(
+            index=i,
+            speed=float(speeds[i]),
+            jobs_received=int(received[i]),
+            jobs_completed=int(completed[i]),
+            busy_time=float(busy[i]),
+            dispatch_fraction=float(fractions[i]),
+        )
+        for i in range(n)
+    )
+    return SimulationResults(
+        metrics=metrics.finalize(),
+        servers=server_stats,
+        duration=config.duration,
+        warmup=config.warmup,
+        total_arrivals=total_arrivals,
+        trace=trace,
+        faults=fault_stats,
+    )
+
+
 def run_simulation(
     config: SimulationConfig,
     dispatcher: Dispatcher,
@@ -101,6 +227,10 @@ def run_simulation(
         Optional :class:`~repro.sim.sampling.QueueSampler` recording
         per-server occupancy on a fixed grid during the run.
     """
+    if sampler is None:
+        out = _least_load_c(config, dispatcher, alphas, seed, record_trace)
+        if out is not None:
+            return out
     streams = StreamFactory(seed)
     workload = config.workload()
     servers = [_make_server(config, s) for s in config.speeds]
@@ -290,23 +420,10 @@ def run_simulation(
                 queue.push(nxt, EventKind.SAMPLE)
 
     replay_span.set(jobs=total_arrivals).__exit__(None, None, None)
+    counters.inc("engine.engaged", policy=dispatcher.name, backend="engine")
 
     summarize_span = span("summarize", jobs=total_arrivals).__enter__()
     post_warmup_total = int(dispatch_counts.sum())
-    fractions = (
-        dispatch_counts / post_warmup_total if post_warmup_total else np.zeros(n)
-    )
-    server_stats = tuple(
-        ServerStats(
-            index=i,
-            speed=srv.speed,
-            jobs_received=srv.jobs_received,
-            jobs_completed=srv.jobs_completed,
-            busy_time=srv.busy_time,
-            dispatch_fraction=float(fractions[i]),
-        )
-        for i, srv in enumerate(servers)
-    )
     trace = None
     if record_trace:
         trace = DispatchTrace(
@@ -327,14 +444,13 @@ def run_simulation(
             reallocations=getattr(dispatcher, "reallocations", 0),
             loss_rate=jobs_lost / post_warmup_total if post_warmup_total else 0.0,
         )
-    out = SimulationResults(
-        metrics=metrics.finalize(),
-        servers=server_stats,
-        duration=duration,
-        warmup=warmup,
-        total_arrivals=total_arrivals,
-        trace=trace,
-        faults=fault_stats,
+    out = _results(
+        config, metrics,
+        [srv.speed for srv in servers],
+        [srv.jobs_received for srv in servers],
+        [srv.jobs_completed for srv in servers],
+        [srv.busy_time for srv in servers],
+        dispatch_counts, total_arrivals, trace, fault_stats,
     )
     summarize_span.__exit__(None, None, None)
     return out

@@ -58,7 +58,7 @@ class EventQueue:
         self._seq = 0
 
     def push(self, time: float, kind: EventKind, a: int = 0, b: int = 0) -> None:
-        if time < 0:
+        if not time >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"event time must be non-negative, got {time}")
         self._seq += 1
         heapq.heappush(self._heap, (time, int(kind), self._seq, a, b))

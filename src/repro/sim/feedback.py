@@ -11,6 +11,7 @@ oracle knowledge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +36,14 @@ class FeedbackModel:
     message_delay_mean: float = PAPER_MESSAGE_DELAY_MEAN
 
     def __post_init__(self):
-        if self.detection_window < 0:
-            raise ValueError(
-                f"detection window must be non-negative, got {self.detection_window}"
-            )
-        if self.message_delay_mean < 0:
-            raise ValueError(
-                f"message delay mean must be non-negative, got {self.message_delay_mean}"
-            )
+        for name in ("detection_window", "message_delay_mean"):
+            value = getattr(self, name)
+            # A NaN delay would corrupt the engine's event heap silently
+            # and an infinite one overflows numpy's uniform sampler.
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
 
     @property
     def mean_lag(self) -> float:

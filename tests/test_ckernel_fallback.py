@@ -103,3 +103,28 @@ def test_fallback_replay_matches_reference_loop():
     fast = ps_replay(times, work, 3.0)
     ref = _ps_replay_loop(times, work, 3.0)
     assert np.array_equal(np.sort(fast), np.sort(ref))
+
+
+@pytest.mark.skipif(
+    shutil.which("gcc") is None and shutil.which("cc") is None,
+    reason="needs a compiler to build the variant",
+)
+def test_numpy_without_npyrandom_keeps_static_kernels(monkeypatch, tmp_path):
+    """No libnpyrandom archive: the library builds without the Least-Load
+    loop, the static kernels still load, and Least-Load runs on the
+    Python engine with the same bits."""
+    config = SimulationConfig(
+        speeds=(1.0, 2.0, 5.0), utilization=0.7, duration=3000.0, warmup=750.0,
+    )
+    reference = run_policy_once(config, get_policy("LEAST_LOAD"), seed=9)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(ckernel, "_npyrandom", lambda: None)
+    monkeypatch.setattr(ckernel, "_fns", None)
+    assert ckernel.kernel_available() is True
+    assert ckernel.cell_fn() is not None
+    assert ckernel.least_load_fn() is None
+    with counters.scoped() as delta:
+        fallback = run_policy_once(config, get_policy("LEAST_LOAD"), seed=9)
+    assert delta.get(counters.key(
+        "engine.engaged", policy="least_load", backend="engine")) == 1
+    assert results_digest(fallback) == results_digest(reference)

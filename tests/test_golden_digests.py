@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.core import get_policy
 from repro.core.evaluate import run_policy_once
 from repro.distributions import distribution_from_mean_cv
@@ -31,6 +33,7 @@ from repro.experiments.figure3 import run_figure3
 from repro.faults import FaultConfig
 from repro.net import run_in_process
 from repro.obs.digest import figure2_digest, results_digest, sweep_digest
+from repro.rng import replication_seeds
 from repro.service import SchedulerService, ServiceConfig, SyntheticJobSource
 from repro.sim import SimulationConfig, ckernel
 from repro.sim.arrivals import Workload
@@ -52,6 +55,13 @@ FIGURE2_SMOKE_DIGEST = (
 SINGLE_REPLICATION_DIGEST = (
     "e037a940ceeec49cb288dbf2c2699abaa73e348e3c289a120645ca6a5dca7b4b"
 )
+#: SHA-256 over the ``results_digest`` of two LEAST_LOAD replications
+#: (speeds 1,2,2,10 at rho=0.8, smoke horizon, paper feedback delays),
+#: one constant per server discipline.
+LEAST_LOAD_DIGESTS = {
+    "ps": "d8a6f011f39f44018de5c823b33a8c999bbbadaf9f35633da945eaa0122b8d5e",
+    "fcfs": "83e926b67102ace01ab2d4bd7ae74d0772180959a5b132f2e5cff314ace38a6f",
+}
 
 
 class TestFigure3GoldenDigest:
@@ -97,6 +107,30 @@ class TestOtherGoldenDigests:
             config, get_policy("ORR"), seed=SMOKE.base_seed
         )
         assert results_digest(result) == SINGLE_REPLICATION_DIGEST
+
+
+def _least_load_digest(discipline: str) -> str:
+    config = SimulationConfig(
+        speeds=(1.0, 2.0, 2.0, 10.0), utilization=0.8,
+        duration=SMOKE.duration, warmup=SMOKE.warmup, discipline=discipline,
+    )
+    digests = [
+        results_digest(run_policy_once(config, get_policy("LEAST_LOAD"), seed=s))
+        for s in replication_seeds(SMOKE.base_seed, 2)
+    ]
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("discipline", ["ps", "fcfs"])
+class TestLeastLoadGoldenDigest:
+    """The Dynamic Least-Load yardstick: compiled loop == Python engine."""
+
+    def test_default_path(self, discipline):
+        assert _least_load_digest(discipline) == LEAST_LOAD_DIGESTS[discipline]
+
+    def test_python_engine(self, discipline, monkeypatch):
+        monkeypatch.setattr(ckernel, "_fns", False)  # force the Python engine
+        assert _least_load_digest(discipline) == LEAST_LOAD_DIGESTS[discipline]
 
 
 # ----------------------------------------------------------------------

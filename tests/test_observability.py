@@ -375,6 +375,54 @@ class TestCounterIdentityAcrossPaths:
 
 
 # ----------------------------------------------------------------------
+# Event-engine backend telemetry
+# ----------------------------------------------------------------------
+
+
+class TestEngineBackendTelemetry:
+    """The engine's ``replay`` span and ``engine.engaged`` counter name
+    the backend that ran; ``kernel.engaged`` stays the static kernels'."""
+
+    CONFIG = SimulationConfig(
+        speeds=(1.0, 2.0, 6.0), utilization=0.7,
+        duration=3000.0, warmup=750.0,
+    )
+
+    def _run(self, policy, sink):
+        with counters.scoped() as delta:
+            result = run_policy_once(self.CONFIG, get_policy(policy), seed=2)
+        replays = [e for e in sink.events
+                   if e["kind"] == "span" and e["name"] == "replay"]
+        return result, delta, replays
+
+    @pytest.mark.skipif(ckernel.least_load_fn() is None,
+                        reason="compiled Least-Load loop unavailable")
+    def test_least_load_runs_compiled(self, sink):
+        result, delta, replays = self._run("LEAST_LOAD", sink)
+        (replay,) = replays
+        assert replay["attrs"] == {"backend": "c", "jobs": result.total_arrivals}
+        assert delta[counters.key(
+            "engine.engaged", policy="least_load", backend="c")] == 1
+        assert not any(k.startswith("kernel.engaged") for k in delta)
+
+    def test_python_engine_is_tagged_engine(self, sink, monkeypatch):
+        monkeypatch.setattr(ckernel, "_fns", False)
+        result, delta, replays = self._run("LEAST_LOAD", sink)
+        (replay,) = replays
+        assert replay["attrs"] == {"backend": "engine",
+                                   "jobs": result.total_arrivals}
+        assert delta[counters.key(
+            "engine.engaged", policy="least_load", backend="engine")] == 1
+        assert not any(k.startswith("kernel.engaged") for k in delta)
+
+    def test_static_policies_leave_the_engine_counter_alone(self, sink):
+        _, delta, replays = self._run("ORR", sink)
+        assert not any(k.startswith("engine.engaged") for k in delta)
+        assert any(k.startswith("kernel.engaged") for k in delta)
+        assert all(e["attrs"]["backend"] != "engine" for e in replays)
+
+
+# ----------------------------------------------------------------------
 # Bit-identity: tracing must not perturb results
 # ----------------------------------------------------------------------
 

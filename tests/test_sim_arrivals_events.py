@@ -53,6 +53,12 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, EventKind.ARRIVAL)
 
+    def test_nan_time_rejected(self):
+        q = EventQueue()
+        with pytest.raises(ValueError, match="nan"):
+            q.push(float("nan"), EventKind.LOAD_UPDATE)
+        assert not q
+
 
 class TestArrivalStream:
     def test_deterministic_spacing(self):
@@ -154,3 +160,9 @@ class TestFeedbackModel:
             FeedbackModel(detection_window=-1.0)
         with pytest.raises(ValueError):
             FeedbackModel(message_delay_mean=-0.1)
+
+    @pytest.mark.parametrize("field", ["detection_window", "message_delay_mean"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} .*got {value}"):
+            FeedbackModel(**{field: value})
