@@ -15,10 +15,12 @@ to dict ordering.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
-__all__ = ["digest_arrays", "sweep_digest", "figure2_digest", "results_digest"]
+__all__ = ["digest_arrays", "sweep_digest", "figure2_digest", "results_digest",
+           "same_report"]
 
 
 def digest_arrays(named_arrays) -> str:
@@ -93,3 +95,14 @@ def results_digest(results) -> str:
             ("arrivals", [results.total_arrivals]),
         ]
     )
+
+
+def same_report(a, b) -> bool:
+    """Whether two service reports are byte-identical.
+
+    Compares the sorted-key JSON text of ``as_dict()``: the serve and
+    net paths promise report bit-identity, and text equality (unlike
+    ``==`` on the dicts) keeps NaN fields comparable.
+    """
+    return (json.dumps(a.as_dict(), sort_keys=True)
+            == json.dumps(b.as_dict(), sort_keys=True))

@@ -24,12 +24,14 @@ vacuously, reporting why.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 __all__ = [
     "GateResult",
     "check_gate",
+    "check_threshold",
     "DEFAULT_THRESHOLD",
     "NET_DISPATCH_CEILING_NS",
 ]
@@ -81,8 +83,8 @@ _FLOORS = (
 #: Deliberately generous — the decision plane runs a few vectorized
 #: folds per window, so even a slow shared runner sits an order of
 #: magnitude under it; breaching it means per-job Python crept back
-#: into the hot path.  ``bench --net`` enforces it inline (nothing is
-#: appended on a breach) and the gate re-checks recorded values.
+#: into the hot path.  The net section of :mod:`repro.bench` enforces it
+#: (nothing is appended on a breach) and the gate re-checks recorded values.
 NET_DISPATCH_CEILING_NS = 25_000.0
 
 #: Absolute ceilings on latency-like metrics: (dotted path, scale name
@@ -134,12 +136,23 @@ def find_baseline(history: List[dict], record: dict) -> Optional[dict]:
     return None
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject NaN (``drop > nan`` passes any slowdown), infinite and
+    negative (fails every ratio) thresholds with a ValueError."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"gate threshold must be a finite fraction >= 0, got {threshold!r}"
+        )
+
+
 def check_gate(
     record: dict,
     history: List[dict],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> GateResult:
-    """Evaluate *record* against the trajectory *history*."""
+    """Evaluate *record* against the trajectory *history*; raises
+    ValueError for a threshold :func:`check_threshold` rejects."""
+    check_threshold(threshold)
     result = GateResult(passed=True, threshold=threshold)
 
     # Bit-identity is non-negotiable at any threshold.

@@ -1,8 +1,60 @@
 """Tests for the command-line interface."""
 
+import json
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+#: The trajectory record schema ``obs/gate.py`` reads: the key set of
+#: every dict in a ``bench --serve --net`` record, by dotted path
+#: (``[]`` marks the dicts inside a list).
+_BENCH_SCHEMA = {
+    "": "timestamp kernel_version compiler_flags openmp openmp_threads "
+        "scale n_jobs kernels replication sweep cell executor telemetry "
+        "serve net",
+    "kernels": "fcfs_jobs fcfs_loop_s fcfs_fast_s fcfs_speedup ps_jobs "
+               "ps_loop_s ps_fast_s ps_speedup ps_backend fcfs_backend "
+               "fcfs_bit_identical",
+    "replication": "ps fcfs",
+    "replication.ps": "engine_s fast_s speedup agree",
+    "replication.fcfs": "engine_s fast_s speedup agree",
+    "sweep": "points policies replications serial_s grid_s grid_identical "
+             "cache_cold_s cache_cold_hits cache_warm_s cache_warm_hits "
+             "cache_speedup",
+    "cell": "flat_s cell_s cell_speedup flat_ps_s cell_ps_s cell_speedup_ps "
+            "cell_identical paired",
+    "cell.paired[]": "skew policies replications paired_half_width "
+                     "unpaired_half_width paired_vs_unpaired verdict",
+    "executor": "small_tasks n_jobs pool_s auto_serial_s auto_serial_speedup",
+    "telemetry": "noop_span_ns events_per_replication untraced_s traced_s "
+                 "overhead_fraction overhead_ok trace_identical",
+    "serve": "servers utilization jobs windows reference_s fast_s "
+             "serve_speedup jobs_per_sec reference_jobs_per_sec "
+             "dispatch_ns_per_job report_identical backend",
+    "net": "servers utilization jobs windows report_identical "
+           "overload_report_identical rejoin_report_identical "
+           "balanced_no_shed even_split_shed dispatch_ns_per_job "
+           "dispatch_ceiling_ns inproc_s inproc_jobs_per_sec socket_s "
+           "jobs_per_sec rtt_p50_s rtt_p99_s max_inflight peak_inflight "
+           "queue_limit peak_submit_queue backend",
+}
+
+
+def _key_sets(node, path="", out=None):
+    """Dotted path -> key set of every dict nested in *node*."""
+    out = {} if out is None else out
+    if isinstance(node, dict):
+        out[path] = set(node)
+        for key, value in node.items():
+            _key_sets(value, f"{path}.{key}".lstrip("."), out)
+    elif isinstance(node, list):
+        for item in node:
+            _key_sets(item, f"{path}[]", out)
+    return out
 
 
 class TestParser:
@@ -142,6 +194,85 @@ class TestBench:
                      "--output", str(tmp_path / "b.json")])
         assert code == 2
         assert "n_jobs" in capsys.readouterr().err
+
+    def test_bench_serve_net_records_identity_and_schema(self, capsys,
+                                                         tmp_path):
+        out_path = tmp_path / "b.json"
+        assert main(["bench", "--serve", "--net",
+                     "--output", str(out_path)]) == 0
+        text = capsys.readouterr().out
+        assert "serve       :" in text and "net         :" in text
+        (record,) = json.loads(out_path.read_text())
+        assert record["serve"]["report_identical"] is True
+        for flag in ("report_identical", "overload_report_identical",
+                     "rejoin_report_identical", "balanced_no_shed"):
+            assert record["net"][flag] is True, flag
+        expected = {p: set(keys.split()) for p, keys in _BENCH_SCHEMA.items()}
+        assert _key_sets(record) == expected
+
+    def test_bench_failed_check_exits_1_and_appends_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.bench
+
+        out_path = tmp_path / "b.json"
+        out_path.write_text('[{"scale": "smoke"}]\n')
+        before = out_path.read_bytes()
+        monkeypatch.setattr(repro.bench, "fcfs_replay",
+                            lambda times, work, speed: np.zeros_like(times))
+        assert main(["bench", "--output", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: FCFS kernel disagrees with reference loop" in err
+        assert out_path.read_bytes() == before
+
+    def test_bench_failed_gate_exits_1_and_appends_nothing(self, capsys,
+                                                           tmp_path):
+        out_path = tmp_path / "b.json"
+        baseline = {"scale": "smoke", "timestamp": "t0",
+                    "kernels": {"fcfs_speedup": 1e12}}
+        out_path.write_text(json.dumps([baseline]))
+        before = out_path.read_bytes()
+        assert main(["bench", "--gate", "--output", str(out_path)]) == 1
+        out = capsys.readouterr().out
+        assert "perf gate: FAIL" in out and "fcfs_speedup" in out
+        assert out_path.read_bytes() == before
+
+    @pytest.mark.parametrize("content", [
+        b'[{"scale": "smoke"},]', b"not json", b"\xff\xfe[]",
+    ])
+    def test_bench_refuses_unreadable_trajectory(self, capsys, tmp_path,
+                                                 content):
+        out_path = tmp_path / "b.json"
+        out_path.write_bytes(content)
+        assert main(["bench", "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot read trajectory {out_path}:" in captured.err
+        assert captured.out == ""  # no section ran
+        assert out_path.read_bytes() == content
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "inf"])
+    def test_bench_rejects_bad_gate_threshold(self, capsys, tmp_path,
+                                              threshold):
+        out_path = tmp_path / "b.json"
+        code = main(["bench", "--gate", "--gate-threshold", threshold,
+                     "--output", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "gate threshold" in captured.err and threshold in captured.err
+        assert captured.out == ""  # no section ran
+        assert not out_path.exists()
+
+    def test_cli_import_leaves_bench_unloaded(self):
+        import os
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.cli; "
+                "sys.exit('repro.bench' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
 
 class TestServe:

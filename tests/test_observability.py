@@ -548,6 +548,14 @@ class TestGate:
                    _record(scale="smoke", ts="t2")]
         assert find_baseline(history, _record(scale="smoke"))["timestamp"] == "t2"
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, float("inf")])
+    def test_rejects_threshold_that_cannot_gate(self, threshold):
+        # drop > nan is always False: a NaN threshold used to pass a
+        # 10x -> 1x slowdown.
+        base = _record(fcfs=10.0, ts="t0")
+        with pytest.raises(ValueError, match=repr(threshold)):
+            check_gate(_record(fcfs=1.0, ts="t1"), [base], threshold)
+
     def test_speedup_improvements_never_fail(self):
         base = _record(fcfs=10.0, ts="t0")
         faster = _record(fcfs=100.0, ts="t1")
