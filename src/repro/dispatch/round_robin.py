@@ -252,6 +252,37 @@ def sequence_memo_key(alphas: np.ndarray, guard_init: float = 1.0) -> tuple:
     return ("round_robin", float(guard_init), a.size, a.tobytes())
 
 
+def _memo_sequence(
+    alphas: np.ndarray, guard_init: float, length: int, *, geometric: bool
+) -> tuple[np.ndarray, str]:
+    """The memo entry's int16 sequence, extended to at least ``length``.
+
+    Extension is exact (to ``length``) or, with ``geometric``, to
+    ``max(length, 2 × cached)``.  Returns ``(sequence, status)`` with
+    ``status`` one of ``"miss"``, ``"extend"``, ``"hit"``; the entry is
+    re-inserted as most recently used and the memo trimmed to its bound.
+    """
+    key = sequence_memo_key(alphas, guard_init)
+    entry = _sequence_memo.pop(key, None)
+    if entry is None:
+        status = "miss"
+        private = RoundRobinDispatcher(guard_init=guard_init)
+        private.reset(np.array(alphas, dtype=float, copy=True))
+        entry = (_extend_targets(private, length), private)
+    else:
+        targets, private = entry
+        status = "hit"
+        if length > targets.size:
+            status = "extend"
+            grow_to = max(length, 2 * targets.size) if geometric else length
+            extra = _extend_targets(private, grow_to - targets.size)
+            entry = (np.concatenate([targets, extra]), private)
+    _sequence_memo[key] = entry  # re-insert: dict preserves LRU order
+    while len(_sequence_memo) > _SEQUENCE_MEMO_ENTRIES:
+        _sequence_memo.pop(next(iter(_sequence_memo)))
+    return entry[0], status
+
+
 def build_dispatch_sequence(
     alphas: np.ndarray, count: int, *, guard_init: float = 1.0
 ) -> tuple[np.ndarray, str]:
@@ -266,27 +297,8 @@ def build_dispatch_sequence(
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    key = sequence_memo_key(alphas, guard_init)
-    entry = _sequence_memo.pop(key, None)
-    if entry is None:
-        status = "miss"
-        private = RoundRobinDispatcher(guard_init=guard_init)
-        private.reset(np.array(alphas, dtype=float, copy=True))
-        targets = _extend_targets(private, count)
-        entry = (targets, private)
-    else:
-        targets, private = entry
-        if count > targets.size:
-            status = "extend"
-            extra = _extend_targets(private, count - targets.size)
-            targets = np.concatenate([targets, extra])
-            entry = (targets, private)
-        else:
-            status = "hit"
-    _sequence_memo[key] = entry  # re-insert: dict preserves LRU order
-    while len(_sequence_memo) > _SEQUENCE_MEMO_ENTRIES:
-        _sequence_memo.pop(next(iter(_sequence_memo)))
-    return entry[0][:count].astype(np.int64), status
+    targets, status = _memo_sequence(alphas, guard_init, count, geometric=False)
+    return targets[:count].astype(np.int64), status
 
 
 def dispatch_sequence_slice(
@@ -305,22 +317,8 @@ def dispatch_sequence_slice(
     """
     if not 0 <= start <= stop:
         raise ValueError(f"invalid sequence slice [{start}, {stop})")
-    key = sequence_memo_key(alphas, guard_init)
-    entry = _sequence_memo.pop(key, None)
-    if entry is None:
-        private = RoundRobinDispatcher(guard_init=guard_init)
-        private.reset(np.array(alphas, dtype=float, copy=True))
-        entry = (_extend_targets(private, stop), private)
-    else:
-        targets, private = entry
-        if stop > targets.size:
-            grow_to = max(stop, 2 * targets.size)
-            extra = _extend_targets(private, grow_to - targets.size)
-            entry = (np.concatenate([targets, extra]), private)
-    _sequence_memo[key] = entry  # re-insert: dict preserves LRU order
-    while len(_sequence_memo) > _SEQUENCE_MEMO_ENTRIES:
-        _sequence_memo.pop(next(iter(_sequence_memo)))
-    return entry[0][start:stop].astype(np.int64)
+    targets, _ = _memo_sequence(alphas, guard_init, stop, geometric=True)
+    return targets[start:stop].astype(np.int64)
 
 
 class SequenceRoundRobin(StaticDispatcher):

@@ -93,25 +93,6 @@ static void replay_period(const double *times, const double *work, double speed,
     }
 }
 
-/* FCFS departure instants for one server slice: the vectorized-Lindley
- * float order of fastpath._lindley_departures —
- *   svc    = work[j] / speed                    (elementwise divide)
- *   cum_j  = cum_{j-1} + svc                    (np.cumsum is sequential)
- *   m_j    = max(m_{j-1}, t[j] - (cum_j - svc)) (np.maximum.accumulate)
- *   out[j] = cum_j + m_j
- */
-static void lindley_slice(const double *t, const double *w, double sp,
-                          i64 n, double *out) {
-    double acc = 0.0, m = -INFINITY;
-    for (i64 j = 0; j < n; j++) {
-        double svc = w[j] / sp;
-        acc += svc;
-        double d = t[j] - (acc - svc);
-        if (d > m) m = d;
-        out[j] = acc + m;
-    }
-}
-
 /* Full per-substream PS pipeline for one server slice, single pass:
  * the Lindley depletion recursion and the busy-period segmentation
  * (job j opens a period iff it arrives at or after the depletion of
@@ -141,53 +122,6 @@ static void ps_slice(const double *t, const double *w, double sp, i64 n,
     }
     if (n - b == 1) comp[b] = t[b] + w[b] / sp;
     else replay_period(t, w, sp, b, n, comp, ht, hi);
-}
-
-/* Replay nper busy periods of one server's substream.
- *
- * times/work: full substream arrays (arrival instants, job sizes);
- * bounds/ends: start (inclusive) and end (exclusive) job index of each
- * busy period to replay; completions: output array indexed like times;
- * ht/hi: caller-provided heap scratch, at least max(ends-bounds) long.
- */
-void ps_replay_periods(const double *times, const double *work, double speed,
-                       const i64 *bounds, const i64 *ends, i64 nper,
-                       double *completions, double *ht, i64 *hi) {
-    for (i64 p = 0; p < nper; p++)
-        replay_period(times, work, speed, bounds[p], ends[p], completions, ht, hi);
-}
-
-/* Fused whole-network PS replay over server-grouped substreams.
- *
- * Jobs are pre-sorted by target server: server s owns the contiguous
- * slice [offsets[s], offsets[s+1]) of times/work/completions.
- * ht/hi: heap scratch of at least max(offsets[s+1]-offsets[s]) entries.
- */
-void ps_replay_server_batch(const double *times, const double *work,
-                            const double *speeds, const i64 *offsets,
-                            i64 nservers, double *completions,
-                            double *ht, i64 *hi) {
-    for (i64 s = 0; s < nservers; s++) {
-        i64 lo = offsets[s];
-        i64 n = offsets[s + 1] - lo;
-        if (n <= 0) continue;
-        ps_slice(times + lo, work + lo, speeds[s], n,
-                 completions + lo, ht, hi);
-    }
-}
-
-/* Fused whole-network FCFS replay over server-grouped substreams: the
- * FCFS departures ARE the Lindley depletion instants, so no
- * segmentation or heap is needed (and no scratch). */
-void fcfs_replay_server_batch(const double *times, const double *work,
-                              const double *speeds, const i64 *offsets,
-                              i64 nservers, double *completions) {
-    for (i64 s = 0; s < nservers; s++) {
-        i64 lo = offsets[s];
-        i64 n = offsets[s + 1] - lo;
-        if (n <= 0) continue;
-        lindley_slice(times + lo, work + lo, speeds[s], n, completions + lo);
-    }
 }
 
 /* numpy searchsorted(cum, u, side="right"): for each u[j] the first
@@ -494,12 +428,17 @@ i64 cell_replay_batch(const double *times, const double *work, i64 n,
     if (!use_ps) {
         /* FCFS fused path: the Lindley recursion is online — carrying
          * per-server (acc, m) state through one arrival-order sweep
-         * performs the same float ops in the same per-server order as
-         * grouping + lindley_slice + scatter, so the bits match while
-         * the grouped-times copy, the order index, and the scatter
-         * pass all disappear.  Only the server-grouped sizes (the
-         * per-server busy-time sums) still need the counting sort,
-         * and that write fuses into the same sweep. */
+         * performs the float ops of fastpath._lindley_departures
+         *   svc    = work[j] / speed                    (elementwise divide)
+         *   cum_j  = cum_{j-1} + svc                    (np.cumsum is sequential)
+         *   m_j    = max(m_{j-1}, t[j] - (cum_j - svc)) (np.maximum.accumulate)
+         *   out[j] = cum_j + m_j
+         * in the same per-server order as grouping + per-server replay +
+         * scatter, so the bits match while the grouped-times copy, the
+         * order index, and the scatter pass all disappear.  Only the
+         * server-grouped sizes (the per-server busy-time sums) still
+         * need the counting sort, and that write fuses into the same
+         * sweep. */
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads((int)nthreads) \
     reduction(|:bad)

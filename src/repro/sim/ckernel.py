@@ -4,15 +4,19 @@ The multi-job PS busy-period loop is the one part of the static fast
 path that resists numpy vectorization: every departure changes the
 service rate of every remaining job, so the recurrence is inherently
 sequential (the pure-numpy lockstep formulations explored for kernel v3
-topped out at ~2x — see DESIGN.md).  Kernel v4 widens the compiled
-surface from that single loop to the whole replay pipeline:
-:mod:`repro.sim._pskernel.c` carries the virtual-time heap, the FCFS
-Lindley recursion, a fused whole-cell entry point (grouping + replay +
-scatter for every unique dispatch plan of a replication in one call,
-OpenMP-parallel over disjoint (plan, server) slices), and the
-searchsorted-style uniform→target mapping used by the random
-dispatchers — compiled here with the system ``gcc`` and loaded through
-:mod:`ctypes`.  No third-party build dependency, no wheels.
+topped out at ~2x — see DESIGN.md).  The compiled surface therefore
+covers the whole replay pipeline behind one static-replay entry point,
+:func:`cell_fn` (``cell_replay_batch`` in :mod:`repro.sim._pskernel.c`):
+grouping, the FCFS Lindley recursion or the PS virtual-time heap, and
+the scatter back to arrival order, for every unique dispatch plan of a
+replication in one call, OpenMP-parallel over disjoint (plan, server)
+slices.  A single replication is a one-plan call and
+:func:`repro.sim.fastpath.ps_replay` a one-server one.  The library also
+carries the searchsorted-style uniform→target mapping used by the
+random dispatchers and the serve-path kernels (FCFS window sweep,
+Algorithm 2 sequence extension, EWMA and P² folds) — compiled here with
+the system ``gcc`` and loaded through :mod:`ctypes`.  No third-party
+build dependency, no wheels.
 
 Bit-identity with the interpreted path is a hard requirement (the
 replication cache and the grid executor both assume replay kernels are
@@ -59,9 +63,6 @@ import numpy as np
 from ..obs import counters
 
 __all__ = [
-    "ps_periods_fn",
-    "ps_servers_fn",
-    "fcfs_servers_fn",
     "cell_fn",
     "map_fn",
     "window_fn",
@@ -77,8 +78,6 @@ __all__ = [
     "set_omp_threads",
     "Arena",
     "arena",
-    "replay_periods_c",
-    "replay_servers_c",
     "replay_cell_c",
     "map_uniform_c",
     "replay_window_c",
@@ -105,9 +104,6 @@ _c_i64_p = ctypes.POINTER(ctypes.c_longlong)
 class _Lib:
     """Resolved entry points of one loaded kernel library."""
 
-    periods: object
-    servers: object
-    fcfs_servers: object
     cell: object
     map_uniform: object
     window: object
@@ -232,41 +228,6 @@ def _compile() -> tuple[Path, bool] | None:
 
 def _load(path: Path, openmp: bool) -> _Lib:
     lib = ctypes.CDLL(str(path))
-    periods = lib.ps_replay_periods
-    periods.argtypes = [
-        _c_double_p,  # times
-        _c_double_p,  # work
-        ctypes.c_double,  # speed
-        _c_i64_p,  # bounds
-        _c_i64_p,  # ends
-        ctypes.c_longlong,  # nper
-        _c_double_p,  # completions (out)
-        _c_double_p,  # heap tag scratch
-        _c_i64_p,  # heap index scratch
-    ]
-    periods.restype = None
-    servers = lib.ps_replay_server_batch
-    servers.argtypes = [
-        _c_double_p,  # times (server-grouped)
-        _c_double_p,  # work (server-grouped)
-        _c_double_p,  # speeds
-        _c_i64_p,  # offsets (nservers + 1)
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # completions (out, server-grouped)
-        _c_double_p,  # heap tag scratch
-        _c_i64_p,  # heap index scratch
-    ]
-    servers.restype = None
-    fcfs_servers = lib.fcfs_replay_server_batch
-    fcfs_servers.argtypes = [
-        _c_double_p,  # times (server-grouped)
-        _c_double_p,  # work (server-grouped)
-        _c_double_p,  # speeds
-        _c_i64_p,  # offsets (nservers + 1)
-        ctypes.c_longlong,  # nservers
-        _c_double_p,  # completions (out, server-grouped)
-    ]
-    fcfs_servers.restype = None
     cell = lib.cell_replay_batch
     cell.argtypes = [
         _c_double_p,  # times (shared stream)
@@ -385,9 +346,6 @@ def _load(path: Path, openmp: bool) -> _Lib:
     set_threads.restype = None
     flags = (*_CFLAGS, _OMP_FLAG) if openmp else _CFLAGS
     return _Lib(
-        periods=periods,
-        servers=servers,
-        fcfs_servers=fcfs_servers,
         cell=cell,
         map_uniform=map_uniform,
         window=window,
@@ -435,46 +393,18 @@ def _ensure_fns():
     return _fns
 
 
-def ps_periods_fn():
-    """The compiled busy-period replay entry point, or None.
-
-    Returns a callable ``fn(times, work, speed, bounds, ends, nper,
-    completions, ht, hi)`` over raw ctypes pointers, compiled and loaded
-    on first call and cached for the process.  Returns None when the
-    kernel is disabled (``REPRO_DISABLE_CKERNEL``), no compiler exists,
-    or compilation/loading failed — callers fall back to the Python
-    loop, which computes the exact same bits.
-    """
-    lib = _ensure_fns()
-    return lib.periods if lib else None
-
-
-def ps_servers_fn():
-    """The fused whole-network PS replay entry point, or None.
-
-    Returns a callable ``fn(times, work, speeds, offsets, nservers,
-    completions, ht, hi)`` replaying every server's contiguous
-    slice — Lindley segmentation included — in one C call.  Same
-    availability rules and fallback contract as :func:`ps_periods_fn`.
-    """
-    lib = _ensure_fns()
-    return lib.servers if lib else None
-
-
-def fcfs_servers_fn():
-    """The fused whole-network FCFS replay entry point, or None."""
-    lib = _ensure_fns()
-    return lib.fcfs_servers if lib else None
-
-
 def cell_fn():
     """The whole-cell fused replay entry point, or None.
 
     One call replays every unique dispatch plan of a replication:
     counting-sort grouping, per-(plan, server) FCFS/PS replay, and the
     scatter back to arrival order all happen in C (OpenMP-parallel over
-    disjoint slices).  Same availability/fallback contract as
-    :func:`ps_periods_fn`.
+    disjoint slices).  Compiled and loaded on first call and cached for
+    the process; None when the kernel is disabled
+    (``REPRO_DISABLE_CKERNEL``), no compiler exists, or
+    compilation/loading failed — callers then run the numpy/Python
+    path, which computes the exact same bits.  The other ``*_fn``
+    accessors follow the same contract.
     """
     lib = _ensure_fns()
     return lib.cell if lib else None
@@ -492,8 +422,7 @@ def window_fn():
     One call replays a control window of dispatched jobs through the
     per-server Lindley recursion with the servers' ``free_at`` instants
     carried across windows — the serve-path counterpart of
-    :func:`cell_fn`.  Same availability/fallback contract as
-    :func:`ps_periods_fn`.
+    :func:`cell_fn`.  Same availability/fallback contract.
     """
     lib = _ensure_fns()
     return lib.window if lib else None
@@ -643,73 +572,6 @@ def arena() -> Arena:
 # ----------------------------------------------------------------------
 
 
-def replay_periods_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    speed: float,
-    bounds: np.ndarray,
-    ends: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """Replay the given busy periods through the compiled core.
-
-    ``times``/``work``/``completions`` must be contiguous float64;
-    ``bounds``/``ends`` contiguous int64.  Heap scratch is sized to the
-    longest period and served from the arena.
-    """
-    width = int((ends - bounds).max())
-    a = arena()
-    ht = a.f64("periods.ht", width)
-    hi = a.i64("periods.hi", width)
-    fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
-        ctypes.c_double(speed),
-        bounds.ctypes.data_as(_c_i64_p),
-        ends.ctypes.data_as(_c_i64_p),
-        ctypes.c_longlong(bounds.size),
-        completions.ctypes.data_as(_c_double_p),
-        ht.ctypes.data_as(_c_double_p),
-        hi.ctypes.data_as(_c_i64_p),
-    )
-
-
-def replay_servers_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    speeds: np.ndarray,
-    offsets: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """Replay every server's substream through the fused compiled core.
-
-    ``times``/``work``/``completions`` are the server-grouped (stable
-    argsort by target) job arrays; server ``s`` owns the slice
-    ``[offsets[s], offsets[s+1])``.  All float arrays contiguous
-    float64, ``offsets`` contiguous int64 of length ``len(speeds)+1``.
-    Scratch is sized to the busiest server and served from the arena.
-    """
-    counts = np.diff(offsets)
-    width = int(counts.max()) if counts.size else 0
-    if width <= 0:
-        return
-    a = arena()
-    ht = a.f64("servers.ht", width)
-    hi = a.i64("servers.hi", width)
-    fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
-        speeds.ctypes.data_as(_c_double_p),
-        offsets.ctypes.data_as(_c_i64_p),
-        ctypes.c_longlong(len(speeds)),
-        completions.ctypes.data_as(_c_double_p),
-        ht.ctypes.data_as(_c_double_p),
-        hi.ctypes.data_as(_c_i64_p),
-    )
-
-
 def replay_cell_c(
     fn,
     times: np.ndarray,
@@ -727,7 +589,8 @@ def replay_cell_c(
     ``completions`` is (nplans, n) in arrival order, ``grouped_work``
     is the server-grouped job sizes (for per-server busy-time sums),
     ``offsets`` is (nplans, nservers+1), and ``ok`` is False when a
-    target was out of range (caller falls back to the numpy path).
+    target was out of range (the caller's numpy path then raises the
+    descriptive error).
 
     When ``warmup_cut`` is given (the index of the first post-warmup
     arrival), the kernel also emits the per-plan summarize precursors
@@ -744,7 +607,10 @@ def replay_cell_c(
     n = int(times.size)
     nplans = len(plans)
     nservers = int(speeds.size)
-    nthreads = max(1, omp_max_threads())
+    # No parallel region has more than nplans × nservers iterations, so
+    # capping the team there loses no parallelism and spares per-thread
+    # heap scratch on one-server calls (ps_replay).
+    nthreads = max(1, min(omp_max_threads(), nplans * nservers))
     a = arena()
     if (
         nplans == 1

@@ -21,8 +21,13 @@ Two replay kernels are provided:
   (work conservation makes busy-period boundaries discipline-free);
   singleton busy periods — the common case at moderate load — are
   resolved in one batched numpy expression, and multi-job busy periods
-  run through the compiled virtual-time heap (:mod:`repro.sim.ckernel`,
-  bit-identical to the interpreted loop kept as fallback).
+  run through the interpreted virtual-time heap.
+
+With the compiled kernel (:mod:`repro.sim.ckernel`) every static
+replay — :func:`ps_replay`, a single replication, a whole sweep cell —
+goes through its one fused entry point, ``cell_replay_batch``; the
+numpy/Python formulations above are the fallback on hosts without a
+compiler and compute the same bits.
 
 :func:`run_cell` batches the three stages across the (policy ×
 replication) members of one sweep cell: stage 1 runs once per
@@ -80,7 +85,8 @@ __all__ = [
 #: The bump is precautionary — v4 is asserted bit-identical to v3 at
 #: any thread count — but the compiled surface grew substantially, so
 #: cached v3 entries are retired rather than trusted across the
-#: boundary.
+#: boundary.  Routing single replications and :func:`ps_replay` through
+#: that same cell kernel changed no result, so the tag stayed at v4.
 KERNEL_VERSION = "4"
 
 
@@ -195,12 +201,20 @@ def ps_replay(arrival_times: np.ndarray, sizes: np.ndarray, speed: float) -> np.
     busy period iff it arrives at or after that depletion instant.
     Busy periods containing a single job — the bulk of the stream at
     moderate load — complete at ``arrival + size/speed`` in one batched
-    expression; multi-job busy periods replay through the compiled heap
-    core when available (:mod:`repro.sim.ckernel`), falling back to the
-    bit-identical per-job Python loop otherwise.
+    expression; multi-job busy periods replay through the virtual-time
+    heap.  With the compiled kernel the whole pipeline runs as a
+    one-server, one-plan call of the fused cell kernel, bit-identical to
+    the numpy/Python formulation kept as fallback.
     """
     times, work = _validate_substream(arrival_times, sizes, speed)
-    return _ps_replay_core(times, work, speed)
+    fused = ckernel.cell_fn()
+    if fused is None:
+        return _ps_replay_core(times, work, speed)
+    completions = ckernel.replay_cell_c(
+        fused, times, work, np.array([float(speed)]),
+        [np.zeros(times.size, dtype=np.int64)], True,
+    )[0]
+    return completions[0].copy()  # arena-backed view: copy it out
 
 
 def _ps_replay_core(
@@ -227,20 +241,12 @@ def _ps_replay_core(
 
     if idx.size < bounds.size:
         multi = ~single
-        mb = np.ascontiguousarray(bounds[multi])
-        me = np.ascontiguousarray(ends[multi])
-        fn = ckernel.ps_periods_fn()
-        if fn is not None:
-            ckernel.replay_periods_c(
-                fn, times, work, float(speed), mb, me, completions
-            )
-        else:
-            # Plain-float lists: scalar indexing in the heap loop is
-            # several times faster than indexing numpy element-wise.
-            tl = times.tolist()
-            wl = work.tolist()
-            for b, e in zip(mb.tolist(), me.tolist()):
-                _ps_busy_period(tl, wl, speed, b, e, completions)
+        # Plain-float lists: scalar indexing in the heap loop is several
+        # times faster than indexing numpy element-wise.
+        tl = times.tolist()
+        wl = work.tolist()
+        for b, e in zip(bounds[multi].tolist(), ends[multi].tolist()):
+            _ps_busy_period(tl, wl, speed, b, e, completions)
     return completions
 
 
@@ -284,11 +290,9 @@ def _ps_replay_loop(arrival_times, sizes, speed: float) -> np.ndarray:
     return completions
 
 
-#: Discipline → exact replay kernel for the static fast path.
-_REPLAY_KERNELS = {"ps": ps_replay, "fcfs": fcfs_replay}
-
-#: Discipline → validation-free kernel used by :func:`_replay_plan`,
-#: which validates the whole arrival stream once instead of per server.
+#: Discipline → validation-free numpy/Python kernel used by
+#: :func:`_replay_plan`, which validates the whole arrival stream once
+#: instead of per server.
 _REPLAY_CORES = {"ps": _ps_replay_core, "fcfs": _fcfs_replay_core}
 
 
@@ -322,32 +326,14 @@ def _dispatch_targets(dispatcher: Dispatcher, sizes: np.ndarray) -> np.ndarray:
         return dispatcher.select_batch(sizes)
 
 
-def _resolve_replay(config: SimulationConfig):
-    try:
-        return _REPLAY_KERNELS[config.discipline]
-    except KeyError:
+def _resolve_replay(config: SimulationConfig) -> None:
+    if config.discipline not in _REPLAY_CORES:
         raise ValueError(
             "the fast path implements the PS discipline and the FCFS "
-            f"discipline ({sorted(_REPLAY_KERNELS)}); "
+            f"discipline ({sorted(_REPLAY_CORES)}); "
             f"discipline={config.discipline!r} needs the event engine — "
             "use repro.sim.engine.run_simulation instead"
-        ) from None
-
-
-def _replay_static(
-    config: SimulationConfig,
-    dispatcher: Dispatcher,
-    alphas,
-    times: np.ndarray,
-    sizes: np.ndarray,
-    record_trace: bool,
-) -> SimulationResults:
-    """Stages 2–3 for one member: dispatch, per-server replay, metrics."""
-    # Stage 2 — all dispatch decisions (memoized across replications
-    # for sequence-deterministic dispatchers like weighted round robin).
-    dispatcher.reset(alphas)
-    targets = _dispatch_targets(dispatcher, sizes)
-    return _replay_plan(config, targets, times, sizes, record_trace)
+        )
 
 
 def _validate_plan_inputs(
@@ -467,47 +453,31 @@ def _replay_plan(
     times: np.ndarray,
     sizes: np.ndarray,
     record_trace: bool,
-    *,
-    validated: bool = False,
 ) -> SimulationResults:
-    """Stage 3 for one dispatch plan: grouped replay plus one metrics pass.
+    """Stage 3 for one dispatch plan on the numpy path (the fallback of
+    :func:`_replay_cell_plans` when the compiled kernel is unavailable).
 
-    With the compiled kernel this is one fused C call (counting-sort
-    grouping, per-server replay, scatter back to arrival order —
-    :func:`repro.sim.ckernel.replay_cell_c` with a single plan, scratch
-    from the arena).  The numpy fallback groups with one stable argsort
-    on a narrow key — within a group the stable sort preserves arrival
-    order, so each server's slice is bit-identical to the boolean-mask
-    extraction it replaces — and replays per server in Python.  Both
-    paths produce the same bits by construction.
+    ``times``/``sizes`` must already be validated.  One stable argsort
+    on a narrow key groups jobs by server — within a group the stable
+    sort preserves arrival order, so each server's slice is
+    bit-identical to the boolean-mask extraction it replaces — and each
+    server replays in Python, computing the same bits as the fused
+    compiled kernel.
     """
     n_servers = len(config.speeds)
-    speeds = np.ascontiguousarray(config.speeds, dtype=float)
-    if not validated:
-        times, sizes = _validate_plan_inputs(times, sizes, speeds)
-
-    fused = ckernel.cell_fn()
+    bad = (targets < 0) | (targets >= n_servers)
+    if bad.any():
+        raise ValueError(
+            f"dispatch target {int(targets[np.argmax(bad)])} out of range "
+            f"for {n_servers} servers"
+        )
     counters.inc(
         "kernel.engaged",
         discipline=config.discipline,
-        backend="c" if fused is not None else "python",
+        backend="python",
         version=KERNEL_VERSION,
-        threads=ckernel.omp_max_threads() if fused is not None else 1,
+        threads=1,
     )
-    if fused is not None:
-        with span("replay", backend="c", servers=n_servers, jobs=int(times.size)):
-            comp, gw, offs, _, ok = ckernel.replay_cell_c(
-                fused, times, sizes, speeds, [targets],
-                config.discipline == "ps",
-            )
-        if ok:
-            return _summarize_plan(
-                config, targets, times, sizes, comp[0], gw[0], offs[0],
-                record_trace,
-            )
-        # Out-of-range target: fall through to the numpy path, whose
-        # bincount raises the descriptive error.
-
     # Stable argsort on a narrow key: casting the targets to int8 (a
     # network never has 128 computers) keeps the radix passes to one
     # byte, several times faster than sorting int64 keys — and a cast
@@ -522,13 +492,13 @@ def _replay_plan(
     grouped_completions = np.empty_like(grouped_times)
 
     core = _REPLAY_CORES[config.discipline]
-    for i in range(n_servers):
+    for i, speed in enumerate(config.speeds):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         if lo == hi:
             continue
         with span("replay", backend="python", server=i, jobs=hi - lo):
             grouped_completions[lo:hi] = core(
-                grouped_times[lo:hi], grouped_sizes[lo:hi], float(speeds[i])
+                grouped_times[lo:hi], grouped_sizes[lo:hi], float(speed)
             )
 
     completions = np.empty_like(times)
@@ -556,7 +526,16 @@ def run_static_simulation(
 
     # Stage 1 — all arrivals and sizes up front.
     times, sizes = materialize_streams(config, seed)
-    return _replay_static(config, dispatcher, alphas, times, sizes, record_trace)
+    speeds = np.ascontiguousarray(config.speeds, dtype=float)
+    times, sizes = _validate_plan_inputs(times, sizes, speeds)
+    # Stage 2 — all dispatch decisions (memoized across replications
+    # for sequence-deterministic dispatchers like weighted round robin).
+    dispatcher.reset(alphas)
+    targets = _dispatch_targets(dispatcher, sizes)
+    # Stage 3 — a one-plan cell, the same replay every sweep runs.
+    return _replay_cell_plans(
+        config, [targets], times, sizes, speeds, record_trace
+    )[0]
 
 
 def run_cell(
@@ -786,6 +765,6 @@ def _replay_cell_plans(
                 )
             return out
     return [
-        _replay_plan(config, targets, times, sizes, record_trace, validated=True)
+        _replay_plan(config, targets, times, sizes, record_trace)
         for targets in plans
     ]

@@ -44,8 +44,8 @@ class TestNoCompilerFallback:
         assert delta.get(
             counters.key("ckernel.unavailable", reason="no-compiler")
         ) == 1
-        assert ckernel.ps_periods_fn() is None
-        assert ckernel.ps_servers_fn() is None
+        assert ckernel.cell_fn() is None
+        assert ckernel.window_fn() is None
 
     def test_probe_failure_is_cached_and_counted_once(self, no_compiler):
         ckernel.kernel_available()
@@ -81,6 +81,7 @@ class TestExplicitDisable:
 )
 class TestCachedLibrarySurvivesCompilerLoss:
     def test_existing_so_loads_without_a_compiler(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISABLE_CKERNEL", raising=False)
         # Ensure the .so exists (compiles on demand with the real PATH) …
         monkeypatch.setattr(ckernel, "_fns", None)
         assert ckernel.kernel_available() is True
@@ -117,6 +118,7 @@ def test_numpy_without_npyrandom_keeps_static_kernels(monkeypatch, tmp_path):
         speeds=(1.0, 2.0, 5.0), utilization=0.7, duration=3000.0, warmup=750.0,
     )
     reference = run_policy_once(config, get_policy("LEAST_LOAD"), seed=9)
+    monkeypatch.delenv("REPRO_DISABLE_CKERNEL", raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(ckernel, "_npyrandom", lambda: None)
     monkeypatch.setattr(ckernel, "_fns", None)

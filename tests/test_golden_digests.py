@@ -51,10 +51,12 @@ FIGURE3_SMOKE_DIGEST = (
 FIGURE2_SMOKE_DIGEST = (
     "1e49e7190c02216636e14be0a08dc17127c5d540a5db4ed7198a6f1ba32fe954"
 )
-#: SHA-256 of one pinned ORR replication (speeds 1,1,10 at rho=0.7).
-SINGLE_REPLICATION_DIGEST = (
-    "e037a940ceeec49cb288dbf2c2699abaa73e348e3c289a120645ca6a5dca7b4b"
-)
+#: SHA-256 of one pinned ORR replication (speeds 1,1,10 at rho=0.7),
+#: one constant per server discipline.
+SINGLE_REPLICATION_DIGESTS = {
+    "ps": "e037a940ceeec49cb288dbf2c2699abaa73e348e3c289a120645ca6a5dca7b4b",
+    "fcfs": "a2505283561f906f2a670bf792ca8aaea2cf67363e968f2f823bfdf7c82b3407",
+}
 #: SHA-256 over the ``results_digest`` of two LEAST_LOAD replications
 #: (speeds 1,2,2,10 at rho=0.8, smoke horizon, paper feedback delays),
 #: one constant per server discipline.
@@ -88,25 +90,22 @@ class TestOtherGoldenDigests:
         assert figure2_digest(run_figure2("smoke")) == FIGURE2_SMOKE_DIGEST
 
     def test_single_replication(self):
-        config = SimulationConfig(
-            speeds=(1.0, 1.0, 10.0), utilization=0.7,
-            duration=SMOKE.duration, warmup=SMOKE.warmup,
-        )
-        result = run_policy_once(
-            config, get_policy("ORR"), seed=SMOKE.base_seed
-        )
-        assert results_digest(result) == SINGLE_REPLICATION_DIGEST
+        for discipline, digest in SINGLE_REPLICATION_DIGESTS.items():
+            assert _single_replication_digest(discipline) == digest, discipline
 
     def test_single_replication_python_kernel(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_fns", False)
-        config = SimulationConfig(
-            speeds=(1.0, 1.0, 10.0), utilization=0.7,
-            duration=SMOKE.duration, warmup=SMOKE.warmup,
-        )
-        result = run_policy_once(
-            config, get_policy("ORR"), seed=SMOKE.base_seed
-        )
-        assert results_digest(result) == SINGLE_REPLICATION_DIGEST
+        monkeypatch.setattr(ckernel, "_fns", False)  # force the numpy path
+        for discipline, digest in SINGLE_REPLICATION_DIGESTS.items():
+            assert _single_replication_digest(discipline) == digest, discipline
+
+
+def _single_replication_digest(discipline: str) -> str:
+    config = SimulationConfig(
+        speeds=(1.0, 1.0, 10.0), utilization=0.7,
+        duration=SMOKE.duration, warmup=SMOKE.warmup, discipline=discipline,
+    )
+    result = run_policy_once(config, get_policy("ORR"), seed=SMOKE.base_seed)
+    return results_digest(result)
 
 
 def _least_load_digest(discipline: str) -> str:

@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import get_policy, run_policy_once
-from repro.dispatch import CyclicDispatcher, LeastLoadDispatcher, RandomDispatcher
+from repro.dispatch import (
+    CyclicDispatcher,
+    LeastLoadDispatcher,
+    RandomDispatcher,
+    RoundRobinDispatcher,
+)
 from repro.distributions import Exponential
 from repro.rng import substream
 from repro.sim import (
     SimulationConfig,
+    ckernel,
     fcfs_replay,
     ps_replay,
     run_simulation,
     run_static_simulation,
 )
-from repro.sim.fastpath import _fcfs_replay_loop, _ps_replay_loop
+from repro.sim.fastpath import _fcfs_replay_loop, _ps_replay_loop, run_cell
 
 
 def _substream_strategy():
@@ -107,6 +113,33 @@ class TestPsReplay:
             rtol=1e-9,
             atol=1e-9,
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                # Zero gaps make simultaneous arrivals (ties in the heap
+                # order); large sizes make multi-job busy periods.
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                st.floats(min_value=1e-3, max_value=20.0),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        speed=st.floats(min_value=0.2, max_value=8.0),
+    )
+    def test_compiled_equals_fallback_bitwise(self, pairs, speed):
+        """The cell kernel and the numpy/Python fallback give the same
+        bits at every position, not just the same sorted values."""
+        times = np.cumsum([g for g, _ in pairs])
+        sizes = np.array([s for _, s in pairs])
+        compiled = ps_replay(times, sizes, speed)
+        saved, ckernel._fns = ckernel._fns, False
+        try:
+            fallback = ps_replay(times, sizes, speed)
+        finally:
+            ckernel._fns = saved
+        assert np.array_equal(compiled, fallback)
 
 
 class TestFcfsReplay:
@@ -269,6 +302,32 @@ class TestFastPathRestrictions:
             config, CyclicDispatcher(), np.array([1.0]), seed=0
         )
         assert result.metrics.jobs > 0
+
+    @pytest.mark.parametrize("kernel", ["c", "python"])
+    def test_out_of_range_target_names_it(self, kernel, monkeypatch):
+        """An allocation longer than the network dispatches to a server
+        that does not exist: both entry points say so on both kernel
+        paths, instead of failing inside numpy."""
+        if kernel == "python":
+            monkeypatch.setattr(ckernel, "_fns", False)
+        config = SimulationConfig(speeds=(1.0, 2.0), utilization=0.5, duration=1000.0)
+        alphas = np.array([0.2, 0.3, 0.5])
+        message = "dispatch target 2 out of range for 2 servers"
+        with pytest.raises(ValueError, match=message):
+            run_static_simulation(config, RoundRobinDispatcher(), alphas, seed=1)
+
+        class OversizedPolicy:
+            name = "oversized"
+            is_static = True
+
+            def fractions(self, network):
+                return alphas
+
+            def build_dispatcher(self, speeds, rng):
+                return RoundRobinDispatcher()
+
+        with pytest.raises(ValueError, match=message):
+            run_cell(config, [OversizedPolicy()], [1])
 
 
 class TestEngineEquivalence:
