@@ -174,12 +174,18 @@ def _kernels():
     n, m = 200_000, 30_000
     times = np.cumsum(rng.exponential(1.0, n))
     work = rng.lognormal(mean=0.0, sigma=1.5, size=n)
-    ref, fcfs_loop_s = _time(_fcfs_replay_loop, times, work, 2.0)
-    fast, fcfs_fast_s = _time(fcfs_replay, times, work, 2.0)
+    # Best of a few alternating repeats per side: with a single timing
+    # each, the speedup ratios swing by half from run to run.
+    ref, fcfs_loop_s, fast, fcfs_fast_s = _best_pair(
+        lambda: _fcfs_replay_loop(times, work, 2.0),
+        lambda: fcfs_replay(times, work, 2.0), repeats=5,
+    )
     require(np.allclose(ref, fast, rtol=1e-9),
             "FCFS kernel disagrees with reference loop")
-    ref, ps_loop_s = _time(_ps_replay_loop, times[:m], work[:m], 2.0)
-    fast, ps_fast_s = _time(ps_replay, times[:m], work[:m], 2.0)
+    ref, ps_loop_s, fast, ps_fast_s = _best_pair(
+        lambda: _ps_replay_loop(times[:m], work[:m], 2.0),
+        lambda: ps_replay(times[:m], work[:m], 2.0), repeats=5,
+    )
     require(np.allclose(np.sort(ref), np.sort(fast), rtol=1e-9),
             "PS kernel disagrees with reference loop")
 
@@ -232,10 +238,12 @@ def _replication(scale):
     out: dict = {}
     for discipline in ("ps", "fcfs"):
         config = _point(10.0, scale, discipline)
-        eng, engine_s = _time(run_policy_once, config, policy,
-                              seed=scale.base_seed, force_engine=True)
-        fast, fast_s = _time(run_policy_once, config, policy,
-                             seed=scale.base_seed)
+        eng, engine_s, fast, fast_s = _best_pair(
+            lambda: run_policy_once(config, policy, seed=scale.base_seed,
+                                    force_engine=True),
+            lambda: run_policy_once(config, policy, seed=scale.base_seed),
+            repeats=3,
+        )
         agree = bool(np.isclose(eng.metrics.mean_response_ratio,
                                 fast.metrics.mean_response_ratio, rtol=1e-9))
         require(agree, f"{discipline} fast path disagrees with the event "

@@ -94,6 +94,6 @@ class RandomDispatcher(StaticDispatcher):
         fn = ck.map_fn()
         if fn is not None:
             out = np.empty(u.size, dtype=np.int64)
-            ck.map_uniform_c(fn, cum, u, out)
+            fn(cum, cum.size, u, u.size, out)
             return out
         return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)

@@ -226,7 +226,7 @@ def _extend_targets(private: "RoundRobinDispatcher", count: int) -> np.ndarray:
     nxt = np.asarray(private._next, dtype=float)
     out = np.empty(count, dtype=np.int64)
     was_started = [a > 0 for a in private._assign]
-    ckernel.rr_extend_c(fn, inv, active, assign, nxt, out)
+    fn(inv, active, active.size, assign, nxt, count, out)
     private._assign = [int(a) for a in assign]
     private._next = [float(x) for x in nxt]
     # `_started` keeps first-win append order (it only drives the

@@ -242,28 +242,37 @@ class EwmaEstimator:
         return self.value
 
     def update_batch(self, xs) -> None:
-        """Fold a batch of observations, oldest first.
+        """Fold a batch of observations, oldest first (see :meth:`fold`)."""
+        xs = np.ascontiguousarray(xs, dtype=float)
+        if xs.size:
+            EwmaEstimator.fold((self,), xs, np.array([0, xs.size]))
 
-        Bit-identical to calling :meth:`update` per element: the
-        compiled fold runs the same ``keep·state + w·x`` recursion with
-        the same doubles, and the fallback *is* the per-element loop.
+    @staticmethod
+    def fold(estimators, xs, offsets) -> None:
+        """Fold ``xs[offsets[e]:offsets[e+1]]`` into ``estimators[e]``.
+
+        The estimators share one weight.  Bit-identical to per-element
+        :meth:`update` calls: one compiled call runs every estimator's
+        ``keep·state + w·x`` recursion with the same doubles, and the
+        fallback *is* the per-element loop.
         """
         xs = np.ascontiguousarray(xs, dtype=float)
-        if xs.size == 0:
-            return
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        counts = (offsets[1:] - offsets[:-1]).tolist()
         ck = _ckernel()
         fn = ck.ewma_fn()
         if fn is None:
-            for x in xs:
-                self.update(float(x))
+            for e, lo, k in zip(estimators, offsets.tolist(), counts):
+                for x in xs[lo:lo + k].tolist():
+                    e.update(x)
             return
-        state = ck.arena().f64("ewma.state", 2)
-        state[0] = self._raw
-        state[1] = self._norm
-        ck.ewma_fold_c(fn, state, self.weight, xs)
-        self._raw = float(state[0])
-        self._norm = float(state[1])
-        self.count += int(xs.size)
+        state = ck.arena().f64("ewma.state", 2 * len(estimators))
+        state[:] = [v for e in estimators for v in (e._raw, e._norm)]
+        fn(state, estimators[0].weight, xs, offsets, len(estimators))
+        pairs = state.reshape(-1, 2).tolist()
+        for e, (raw, norm), k in zip(estimators, pairs, counts):
+            e._raw, e._norm = raw, norm
+            e.count += k
 
     @property
     def value(self) -> float:
@@ -468,14 +477,11 @@ class ServerSpeedEstimator:
         within-server completion order.  Identical final state to
         per-job :meth:`observe` calls in arrival order: per-server
         EWMAs are independent and a stable grouping preserves each
-        server's observation order.  Witness positivity is the caller's
-        contract (the replay path guarantees ``service_time > 0``).
+        server's observation order; one :meth:`EwmaEstimator.fold` call
+        folds them all.  Witness positivity is the caller's contract (the
+        replay path guarantees ``service_time > 0``).
         """
-        for s, e in enumerate(self._ewmas):
-            lo = int(offsets[s])
-            hi = int(offsets[s + 1])
-            if hi > lo:
-                e.update_batch(witnesses[lo:hi])
+        EwmaEstimator.fold(self._ewmas, witnesses, offsets)
 
     def speeds(self) -> np.ndarray:
         """Current estimate per server (nominal where no data yet)."""
@@ -577,42 +583,49 @@ class P2Quantile:
                 n[i] += d
 
     def update_batch(self, xs) -> None:
-        """Fold a batch of observations, oldest first.
+        """Fold a batch of observations, oldest first (see :meth:`fold`)."""
+        P2Quantile.fold((self,), xs)
 
-        Bit-identical to per-element :meth:`update` calls: elements are
-        fed through Python until the five-sample warm-up completes,
-        then the rest goes through the compiled marker fold (the exact
-        locate/shift/parabolic/linear operation order) — or the same
-        Python loop when the kernel is absent.
+    @staticmethod
+    def fold(estimators, xs) -> None:
+        """Fold one batch of observations, oldest first, into each estimator.
+
+        Bit-identical to per-element :meth:`update` calls: an estimator
+        takes elements through Python until its five-sample warm-up
+        completes; the rest of every estimator goes through one compiled
+        marker fold (the exact locate/shift/parabolic/linear operation
+        order), or the same Python loop when the kernel is absent.
         """
         xs = np.ascontiguousarray(xs, dtype=float)
         total = int(xs.size)
-        i = 0
-        while self._q is None and i < total:
-            self.update(float(xs[i]))
-            i += 1
-        if i == total:
+        warm, starts = [], []
+        for e in estimators:
+            i = 0
+            while e._q is None and i < total:
+                e.update(float(xs[i]))
+                i += 1
+            if i < total:
+                warm.append(e)
+                starts.append(i)
+        if not warm:
             return
         ck = _ckernel()
         fn = ck.p2_fn()
         if fn is None:
-            for j in range(i, total):
-                self.update(float(xs[j]))
+            for e, i in zip(warm, starts):
+                for x in xs[i:].tolist():
+                    e.update(x)
             return
         a = ck.arena()
-        q = a.f64("p2.q", 5)
-        n = a.f64("p2.n", 5)
-        np_ = a.f64("p2.np", 5)
-        dn = a.f64("p2.dn", 5)
-        q[:] = self._q
-        n[:] = self._n
-        np_[:] = self._np
-        dn[:] = self._dn
-        ck.p2_fold_c(fn, q, n, np_, dn, xs[i:])
-        self._q = [float(x) for x in q]
-        self._n = [float(x) for x in n]
-        self._np = [float(x) for x in np_]
-        self.count += total - i
+        state = a.f64("p2.state", 20 * len(warm))
+        state[:] = [v for e in warm for part in (e._q, e._n, e._np, e._dn)
+                    for v in part]
+        start = a.i64("p2.start", len(warm))
+        start[:] = starts
+        fn(state, start, len(warm), xs, total)
+        for e, i, m in zip(warm, starts, state.reshape(-1, 20).tolist()):
+            e._q, e._n, e._np = m[:5], m[5:10], m[10:15]
+            e.count += total - i
 
     def _parabolic(self, i: int, d: float) -> float:
         q, n = self._q, self._n

@@ -27,21 +27,21 @@ fold → close; the networked orchestrator shard
 replay, so the two stacks agree by construction.
 
 **Fault tolerance.**  With a :class:`~repro.faults.models.FaultConfig`
-(or a scripted event list — the chaos harness) the loop runs a
-job-level variant of the window: the pre-generated fault timeline
-splits each window into segments, jobs dispatch one at a time through
-:meth:`ServerBank.dispatch`, and each fault event is applied after the
-jobs at or before its timestamp.  A job aimed at a down server — and
-every resident of a server that fails — bounces through the
-:class:`~repro.faults.models.RetryPolicy`: it re-enters the stream at
-``bounce_time + delay`` with its original arrival as response-time
-origin, or counts as lost once ``max_attempts`` placements failed (or
-immediately under ``on_failure="lose"``).  The dispatch sequence stays
-immutable within the window even when a failure lands mid-window; the
-controller learns of the membership change (failure detector) and the
-*next boundary* re-solve runs out-of-band over the survivors.  The
-fault-mode window admits and closes through the shared step; only its
-job-level dispatch and completion fold are its own.
+(or a scripted event list — the chaos harness) the pre-generated fault
+timeline cuts each window into segments.  Each segment dispatches in
+one compiled :meth:`ServerBank.dispatch` call, and each fault event
+applies after the jobs at or before its timestamp.  A job aimed at a
+down server — and every resident of a server that fails — bounces
+through the :class:`~repro.faults.models.RetryPolicy`: it re-enters
+the stream at ``bounce_time + delay`` with its original arrival as
+response-time origin, or counts as lost once ``max_attempts``
+placements failed (or immediately under ``on_failure="lose"``).  The
+dispatch sequence stays immutable within the window even when a
+failure lands mid-window; the controller learns of the membership
+change (failure detector) and the *next boundary* re-solve runs
+out-of-band over the survivors.  The fault-mode window runs the shared
+admit, fold and close; the completions it folds are the jobs that
+*finished* in the window, in completion order.
 
 **Crash safety.**  A :class:`~repro.service.checkpoint.ServiceCheckpoint`
 snapshots the full loop state (controller, gate, bank, dispatcher
@@ -81,7 +81,7 @@ from ..obs.spans import span
 from ..sim import ckernel
 from .checkpoint import ServiceCheckpoint
 from .controller import AdmissionGate, ControlDecision, QuasiStaticController
-from .replay import ServerBank
+from .replay import DEP, ORIGIN, SERVER, SIZE, SVC, ServerBank
 from .sources import JobSource
 
 __all__ = [
@@ -399,13 +399,17 @@ class WindowStep:
         service_times: np.ndarray,
         order: np.ndarray,
         offsets: np.ndarray,
+        *,
+        sequential: bool = False,
     ) -> tuple[float, float]:
         """Fold completed jobs into the estimators.
 
-        All four job arrays are in arrival order; *order*/*offsets* are
-        the stable group-by-server partition of the replay.  Returns the
-        window's mean response time and mean response ratio (NaN when
-        nothing completed).
+        All four job arrays are in arrival order (completion order in
+        fault mode, *times* then the original arrivals); *order*/*offsets*
+        are their stable group-by-server partition.  Returns the window's
+        mean response time and mean response ratio (NaN when nothing
+        completed): numpy's pairwise means, or left-to-right sums with
+        *sequential* (the fault-mode window's reduction order).
         """
         n = int(times.size)
         if not n:
@@ -425,10 +429,14 @@ class WindowStep:
         # makes the reduction order part of the result.
         response = a.f64("loop.resp", n)
         np.subtract(departures, times, out=response)
-        mrt = float(response.mean())
         ratio_buf = a.f64("loop.ratio", n)
         np.divide(response, sizes, out=ratio_buf)
-        ratio = float(ratio_buf.mean())
+        if sequential:
+            mrt = float(np.cumsum(response)[-1]) / n
+            ratio = float(np.cumsum(ratio_buf)[-1]) / n
+        else:
+            mrt = float(response.mean())
+            ratio = float(ratio_buf.mean())
         controller.observe_responses(response)
         return mrt, ratio
 
@@ -513,9 +521,9 @@ class SchedulerService:
         Optional scripted fault timeline (the chaos harness passes one).
         When omitted and ``config.faults`` is enabled, the timeline is
         pre-generated via :func:`~repro.faults.models.build_timeline`.
-        Passing a list — even an empty one — selects the job-level
-        fault-mode window; otherwise fault mode engages only for an
-        enabled ``config.faults``.
+        Passing a list — even an empty one — selects the fault-mode
+        window; otherwise fault mode engages only for an enabled
+        ``config.faults``.
     checkpoint:
         A :class:`~repro.service.checkpoint.ServiceCheckpoint` to
         snapshot into every ``checkpoint_every`` completed windows.
@@ -705,36 +713,52 @@ class SchedulerService:
         )
 
     # ------------------------------------------------------------------
-    # Fault-mode window (job-level dispatch, segmented by fault events)
+    # Fault-mode window (segmented by fault events)
     # ------------------------------------------------------------------
 
-    def _bounce(self, now: float, origin: float, size: float, attempts: int) -> str:
-        """A placement just failed; retry or lose the job.
+    def _bounce(self, tally: dict, now, origins, sizes, attempts) -> None:
+        """Placements just failed at *now*; retry or lose each job.
 
-        *attempts* counts failed placements *before* this one.  Returns
-        ``"lost"`` or ``"retried"``.
+        One batch per segment (*now* a scalar or one time per job;
+        *attempts* the failed placements *before* this one), counted
+        into *tally*.  Retries join the heap in job order, with the due
+        keys and insertion seqs one push per job would give.
         """
         failed = attempts + 1
-        if self._on_failure == "lose" or failed >= self._retry.max_attempts:
-            counters.inc("service.jobs_lost")
-            return "lost"
-        counters.inc("service.jobs_retried")
-        due = now + self._retry.delay(attempts)
-        heapq.heappush(
-            self._pending,
-            (float(due), self._pending_seq, float(origin), float(size), int(failed)),
-        )
-        self._pending_seq += 1
-        return "retried"
-
-    def _apply_degrade(self, server: int, now: float) -> None:
-        level = self._degrade_level[server]
-        self.bank.set_speed_factor(server, now, self._degrade_factor**level)
+        # Losing bounced jobs is a one-placement retry budget.
+        limit = 1 if self._on_failure == "lose" else self._retry.max_attempts
+        retry = failed < limit
+        retried = int(np.count_nonzero(retry))
+        lost = int(failed.size) - retried
+        tally["bounced"] += lost + retried
+        tally["lost"] += lost
+        tally["retried"] += retried
+        if lost:
+            counters.inc("service.jobs_lost", value=lost)
+        if retried:
+            counters.inc("service.jobs_retried", value=retried)
+            now = np.asarray(now, dtype=float)
+            due = (now[retry] if now.ndim else now) + np.array(
+                [self._retry.delay(a) for a in attempts[retry].tolist()]
+            )
+            seq = self._pending_seq
+            for job in zip(due.tolist(), range(seq, seq + retried),
+                           origins[retry].tolist(), sizes[retry].tolist(),
+                           failed[retry].tolist()):
+                heapq.heappush(self._pending, job)
+            self._pending_seq += retried
 
     def _run_window_faulted(
         self, start: float, end: float, report: ServiceReport
     ) -> None:
+        """The fault-mode window, cut into segments by its fault events.
+
+        Each segment — the jobs up to the next event — dispatches in one
+        :meth:`ServerBank.dispatch` call and bounces its refusals in one
+        batch; the window's completions are collected and folded once.
+        """
         controller = self.controller
+        bank = self.bank
         times, sizes = self.source.jobs_until(end)
         adm_times, adm_sizes = self.step.admit(times, sizes)
 
@@ -742,33 +766,21 @@ class SchedulerService:
         # for time d re-enters the sequence as an arrival at max(d,
         # start) — bounces become eligible at the *next* window, never
         # inside the one that bounced them.  Ties go to fresh arrivals
-        # (stable sort, arrivals listed first).
-        # Heap pops come out ordered by (due, insertion seq) — exactly
-        # the stable sort by due time the list scan used to do, at
-        # O(due · log pending) instead of two full-list passes.
+        # (stable sort, arrivals listed first).  Heap pops come out
+        # ordered by (due, insertion seq): the stable sort by due time.
+        jobs = [adm_times, adm_sizes, adm_times,
+                np.zeros(adm_times.size, dtype=np.int64)]
         due: list[tuple] = []
         while self._pending and self._pending[0][0] <= end:
             due.append(heapq.heappop(self._pending))
         if due:
-            job_times = np.concatenate(
-                [adm_times, [max(r[0], start) for r in due]]
-            )
-            job_sizes = np.concatenate([adm_sizes, [r[3] for r in due]])
-            job_origins = np.concatenate([adm_times, [r[2] for r in due]])
-            job_attempts = np.concatenate(
-                [np.zeros(adm_times.size, dtype=np.int64),
-                 np.asarray([r[4] for r in due], dtype=np.int64)]
-            )
-            order = np.argsort(job_times, kind="stable")
-            job_times = job_times[order]
-            job_sizes = job_sizes[order]
-            job_origins = job_origins[order]
-            job_attempts = job_attempts[order]
-        else:
-            job_times = adm_times
-            job_sizes = adm_sizes
-            job_origins = adm_times
-            job_attempts = np.zeros(adm_times.size, dtype=np.int64)
+            retries = ([max(r[0], start) for r in due], [r[3] for r in due],
+                       [r[2] for r in due], [r[4] for r in due])
+            jobs = [np.concatenate((col, np.asarray(extra, dtype=col.dtype)))
+                    for col, extra in zip(jobs, retries)]
+            order = np.argsort(jobs[0], kind="stable")
+            jobs = [col[order] for col in jobs]
+        job_times, job_sizes, job_origins, job_attempts = jobs
 
         # The window's dispatch sequence is fixed up front — a failure
         # mid-window never rewrites it (Algorithm 2's invariant); the
@@ -782,90 +794,64 @@ class SchedulerService:
         ):
             events.append(self.fault_events[self._event_pos])
             self._event_pos += 1
+        # Jobs at exactly an event's timestamp dispatch before the event
+        # applies (arrival-then-event tie-break, documented).
+        ends = [ev.time for ev in events] + [end]
+        cuts = np.searchsorted(job_times, ends, side="right").tolist()
 
-        completed: list[tuple] = []
-        lost = retried = bounced = 0
-        pos = 0
-        n_jobs = int(job_times.size)
-        for ev in [*events, None]:
-            seg_end = end if ev is None else ev.time
-            # Jobs at exactly an event's timestamp dispatch before the
-            # event applies (arrival-then-event tie-break, documented).
-            while pos < n_jobs and job_times[pos] <= seg_end:
-                srv = int(targets[pos])
-                dep = self.bank.dispatch(
-                    srv,
-                    float(job_times[pos]),
-                    float(job_sizes[pos]),
-                    float(job_origins[pos]),
-                    int(job_attempts[pos]),
+        tally = {"bounced": 0, "lost": 0, "retried": 0}
+        lo = 0
+        for ev, hi in zip([*events, None], cuts):
+            if hi > lo:
+                refused = lo + bank.dispatch(
+                    targets[lo:hi], job_times[lo:hi], job_sizes[lo:hi],
+                    job_origins[lo:hi], job_attempts[lo:hi],
                 )
-                if dep is None:
-                    bounced += 1
-                    outcome = self._bounce(
-                        float(job_times[pos]),
-                        float(job_origins[pos]),
-                        float(job_sizes[pos]),
-                        int(job_attempts[pos]),
+                if refused.size:
+                    self._bounce(
+                        tally, job_times[refused], job_origins[refused],
+                        job_sizes[refused], job_attempts[refused],
                     )
-                    if outcome == "lost":
-                        lost += 1
-                    else:
-                        retried += 1
-                pos += 1
-            # Finalize everything that departed before the event — a
-            # failure must not bounce jobs that already finished.
-            completed.extend(self.bank.collect_completions(seg_end))
+                lo = hi
             if ev is None:
-                continue
+                break
             if ev.kind == DOWN:
-                if self.bank.up[ev.server]:
-                    residents = self.bank.fail(ev.server, ev.time)
+                if bank.up[ev.server]:
+                    residents = bank.fail(ev.server, ev.time)
                     controller.mark_server_down(ev.server, ev.time)
-                    for origin, size, att in residents:
-                        bounced += 1
-                        outcome = self._bounce(ev.time, origin, size, int(att))
-                        if outcome == "lost":
-                            lost += 1
-                        else:
-                            retried += 1
+                    if residents[0].size:
+                        self._bounce(tally, ev.time, *residents)
             elif ev.kind == UP:
-                if not self.bank.up[ev.server]:
-                    self.bank.repair(ev.server, ev.time)
+                if not bank.up[ev.server]:
+                    bank.repair(ev.server, ev.time)
                     # The same machine resumes, so its pre-outage speed
                     # history stays; the networked rejoin path passes
                     # fresh_estimates=True instead (restarted process).
                     controller.mark_server_up(ev.server, ev.time)
-            elif ev.kind == DEGRADE_START:
-                self._degrade_level[ev.server] += 1
-                self._apply_degrade(ev.server, ev.time)
-            elif ev.kind == DEGRADE_END:
-                self._degrade_level[ev.server] = max(
-                    0, self._degrade_level[ev.server] - 1
-                )
-                self._apply_degrade(ev.server, ev.time)
+            elif ev.kind in (DEGRADE_START, DEGRADE_END):
+                step = 1 if ev.kind == DEGRADE_START else -1
+                level = max(0, self._degrade_level[ev.server] + step)
+                self._degrade_level[ev.server] = level
+                bank.set_speed_factor(ev.server, ev.time,
+                                      self._degrade_factor**level)
 
         # Completion-based accounting: response times span retries
         # (departure minus *original* arrival) and land in the window
         # the job actually finished in.
-        resp_sum = 0.0
-        ratio_sum = 0.0
-        n_completed = len(completed)
-        for srv, origin, size, svc, dep in completed:
-            controller.observe_service(int(srv), float(size), float(svc))
-            r = float(dep) - float(origin)
-            controller.observe_response(r)
-            resp_sum += r
-            ratio_sum += r / float(size)
-        mrt = resp_sum / n_completed if n_completed else float("nan")
-        ratio = ratio_sum / n_completed if n_completed else float("nan")
+        done = bank.collect_completions(ends)
+        order = np.argsort(done[SERVER], kind="stable")
+        offsets = np.searchsorted(done[SERVER, order], np.arange(bank.n + 1))
+        mrt, ratio = self.step.fold(
+            done[ORIGIN], done[SIZE], done[DEP], done[SVC], order, offsets,
+            sequential=True,
+        )
 
         report.jobs_pending_retry = len(self._pending)
-        report.jobs_in_flight = self.bank.inflight_count()
+        report.jobs_in_flight = bank.inflight_count()
         self.step.close(
             report, start, end, int(times.size), int(adm_times.size), mrt, ratio,
-            completed=n_completed, lost=lost, retried=retried, bounced=bounced,
-            servers_up=int(np.count_nonzero(self.bank.up)),
+            completed=int(done.shape[1]),
+            servers_up=int(np.count_nonzero(bank.up)), **tally,
         )
 
     # ------------------------------------------------------------------

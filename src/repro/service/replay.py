@@ -16,37 +16,40 @@ accuracy (the window split re-bases the cumulative sums), which lets
 the oracle comparison in the online experiments attribute MRT
 differences to the *allocation*, not the replay.
 
-**Failure support.**  The fault-tolerant serving path needs more than
-``free_at``: a down server must reject dispatches and bounce its
-resident jobs, and a degraded server stretches everything still in
-flight.  In fault mode the bank therefore tracks each in-flight job
-(origin arrival, size, service time, projected departure, failed
-placements) in a per-server FIFO whose departure projections stay valid
-until a fault event rewrites them:
+**Failure support.**  A down server must reject dispatches and bounce
+its resident jobs, and a degraded server stretches everything still in
+flight, so fault mode keeps an in-flight ledger: one column per job in
+a ``(6, jobs)`` table (rows :data:`ORIGIN` … :data:`SERVER`), each
+server's jobs in FIFO order.  The fault-mode window drives it one
+*segment* — the stretch between two fault events — at a time:
 
-* :meth:`dispatch` queues one job (or refuses, if the server is down),
-* :meth:`collect_completions` finalizes jobs whose departure has passed,
+* :meth:`dispatch` runs a segment through one compiled call of the
+  scalar FCFS recursion, refusing jobs aimed at down servers,
+* :meth:`collect_completions` finalizes what departed, once a window,
 * :meth:`fail` / :meth:`repair` flip membership, bouncing residents,
 * :meth:`set_speed_factor` rescales in-flight work for degradation —
   for FCFS everything after *now* on one server is service work at the
   new speed, so ``dep' = now + (dep − now)·(s_old/s_new)`` is exact.
 
-The fault-free :meth:`replay_window` path is untouched, keeping
-fault-free service runs bit-identical.
+Checkpoints keep the per-server ``[origin, size, svc, dep, attempts]``
+list layout.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from ..sim import ckernel
 
-__all__ = ["ServerBank", "lindley_window"]
+__all__ = [
+    "ServerBank", "lindley_window",
+    "ORIGIN", "SIZE", "SVC", "DEP", "ATTEMPTS", "SERVER",
+]
 
-#: In-flight record layout: [origin, size, svc, dep, attempts].
-_ORIGIN, _SIZE, _SVC, _DEP, _ATTEMPTS = range(5)
+#: Row indices of the in-flight ledger, a ``(6, jobs)`` float64 table:
+#: first arrival, size, service time, projected departure, failed
+#: placements and server (the last two small integers, exact as floats).
+ORIGIN, SIZE, SVC, DEP, ATTEMPTS, SERVER = range(6)
 
 
 def lindley_window(
@@ -69,6 +72,28 @@ def lindley_window(
     return dep, svc, float(dep[-1]) if dep.size else float(free_at)
 
 
+def _fault_dispatch_python(times, work, origins, attempts, targets, n, eff,
+                           up, nservers, free_at, rows, refused) -> int:
+    """``fault_segment_dispatch`` of ``_pskernel.c`` in Python, same bits."""
+    if np.any(targets < 0) or np.any(targets >= nservers):
+        return -1
+    up, eff, fa = up.tolist(), eff.tolist(), free_at.tolist()
+    k = r = 0
+    for j, (s, t, x) in enumerate(
+        zip(targets.tolist(), times.tolist(), work.tolist())
+    ):
+        if not up[s]:
+            refused[r] = j
+            r += 1
+            continue
+        svc = x / eff[s]
+        fa[s] = max(fa[s], t) + svc
+        rows[:, k] = (origins[j], x, svc, fa[s], attempts[j], s)
+        k += 1
+    free_at[:] = fa
+    return k
+
+
 class ServerBank:
     """Per-server FCFS queues whose backlog persists across windows."""
 
@@ -82,7 +107,7 @@ class ServerBank:
         self.free_at = np.zeros(s.size)
         self.up = np.ones(s.size, dtype=bool)
         self.speed_factor = np.ones(s.size)
-        self._inflight: list[deque] = [deque() for _ in range(s.size)]
+        self._ledger = np.empty((6, 0))
 
     @property
     def n(self) -> int:
@@ -134,26 +159,19 @@ class ServerBank:
         """
         n = times.size
         a = ckernel.arena()
-        if n == 0:
-            offsets = a.i64("window.offsets", self.n + 1)
-            offsets[:] = 0
-            return (
-                a.f64("window.dep", 0),
-                a.f64("window.svc", 0),
-                a.i64("window.order", 0),
-                offsets,
-            )
         fn = ckernel.window_fn()
-        if fn is not None:
-            dep, svc, order, offsets, ok = ckernel.replay_window_c(
-                fn, times, sizes, self.speeds, targets, self.free_at
-            )
-            if not ok:
-                # The kernel validates every target before touching any
-                # state, so free_at is intact here.
-                raise ValueError("dispatch target out of range")
-            return dep, svc, order, offsets
-        return self._replay_grouped_python(targets, times, sizes)
+        if fn is None:
+            return self._replay_grouped_python(targets, times, sizes)
+        dep, svc = a.f64("window.dep", n), a.f64("window.svc", n)
+        order = a.i64("window.order", n)
+        offsets = a.i64("window.offsets", self.n + 1)
+        if fn(times, sizes, n, self.speeds, self.n, targets, self.free_at,
+              dep, svc, order, offsets, a.i64("window.cursor", self.n),
+              a.f64("window.state", 2 * self.n)):
+            # The kernel validates every target before touching any
+            # state, so free_at is intact here.
+            raise ValueError("dispatch target out of range")
+        return dep, svc, order, offsets
 
     def _replay_grouped_python(
         self, targets: np.ndarray, times: np.ndarray, sizes: np.ndarray
@@ -197,63 +215,79 @@ class ServerBank:
         return np.maximum(self.free_at - float(now), 0.0)
 
     # ------------------------------------------------------------------
-    # Fault-mode API (job-level tracking; replay_window stays untouched)
+    # Fault-mode API: one segment at a time, a columnar in-flight ledger
     # ------------------------------------------------------------------
 
-    def effective_speed(self, server: int) -> float:
-        return float(self.speeds[server] * self.speed_factor[server])
+    def dispatch(self, targets, times, sizes, origins, attempts) -> np.ndarray:
+        """Queue one segment of jobs in arrival order; refuse down servers.
 
-    def dispatch(
-        self, server: int, t: float, size: float, origin: float, attempts: int
-    ) -> float | None:
-        """Queue one job on *server* at time *t*; ``None`` if it is down.
-
-        ``origin`` is the job's first arrival time (response times span
-        retries); ``attempts`` counts its failed placements so far.
-        Returns the projected departure.
+        Each job runs the scalar FCFS recursion ``svc = size/eff``,
+        ``dep = max(free_at, t) + svc`` — one compiled call, or the same
+        loop in Python without the kernel.  ``origins`` are the jobs'
+        first arrivals (response times span retries), ``attempts`` their
+        failed placements so far.  Contiguous int64 targets/attempts and
+        float64 times/sizes/origins, as the service loop passes them.
+        Accepted jobs join the ledger; returns the refused jobs' indices.
         """
-        if not self.up[server]:
-            return None
-        svc = float(size) / self.effective_speed(server)
-        dep = max(float(self.free_at[server]), float(t)) + svc
-        self.free_at[server] = dep
-        self._inflight[server].append([float(origin), float(size), svc, dep,
-                                       int(attempts)])
-        return dep
+        n = times.size
+        a = ckernel.arena()
+        rows = a.f64("fault.rows", 6 * n).reshape(6, n)
+        refused = a.i64("fault.refused", n)
+        fn = ckernel.fault_dispatch_fn() or _fault_dispatch_python
+        k = fn(times, sizes, origins, attempts, targets, n,
+               self.speeds * self.speed_factor, self.up, self.n, self.free_at,
+               rows, refused)
+        if k < 0:
+            raise ValueError("dispatch target out of range")
+        self._ledger = np.concatenate((self._ledger, rows[:, :k]), axis=1)
+        return refused[:n - k].copy()
 
-    def collect_completions(self, now: float) -> list[tuple]:
-        """Finalize jobs whose departure is ≤ *now*.
+    def collect_completions(self, ends) -> np.ndarray:
+        """Remove and return the ledger columns of jobs departed by the end.
 
-        Returns ``(server, origin, size, svc, dep)`` tuples in
-        server-major, per-server FIFO order — a fixed, documented order
-        so downstream streaming estimators stay deterministic.
+        ``ends`` are non-decreasing collection instants (a scalar is one
+        instant): the fault-mode window's event times, then its end.  A
+        job counts as collected at the first instant at or after its
+        departure.  The columns come in the order collecting at each
+        instant in turn gives — instant by instant, server-major, FIFO
+        within a server — a fixed, documented order so downstream
+        streaming estimators stay deterministic.  Collecting once is
+        exact: a passed departure never moves (:meth:`fail` and
+        :meth:`set_speed_factor` touch only jobs still in flight), and
+        FCFS departures never decrease along one server's queue.
         """
-        now = float(now)
-        done: list[tuple] = []
-        for i in range(self.n):
-            q = self._inflight[i]
-            # FCFS departures are non-decreasing within one server, so
-            # the FIFO prefix is exactly the finished set.
-            while q and q[0][_DEP] <= now:
-                origin, size, svc, dep, _ = q.popleft()
-                done.append((i, origin, size, svc, dep))
-        return done
+        ends = np.atleast_1d(np.asarray(ends, dtype=float))
+        led = self._ledger
+        done = led[DEP] <= ends[-1]
+        cols = np.flatnonzero(done)
+        stamp = np.searchsorted(ends, led[DEP, cols])
+        cols = cols[np.lexsort((led[SERVER, cols], stamp))]
+        self._ledger = led.compress(~done, axis=1)
+        return led.take(cols, axis=1)
 
-    def fail(self, server: int, now: float) -> list[tuple]:
+    def fail(
+        self, server: int, now: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Take *server* down at *now*; bounce its unfinished residents.
 
-        Jobs already past their projected departure are finalized by the
-        caller via :meth:`collect_completions` *before* applying the
-        failure; everything still resident is returned as
-        ``(origin, size, attempts)`` for the retry policy to re-place.
-        The server rejoins empty on :meth:`repair`.
+        Jobs that departed by *now* stay in the ledger as finished;
+        everything still in flight is returned as ``(origins, sizes,
+        attempts)`` in FIFO order for the retry policy to re-place.  The
+        server rejoins empty on :meth:`repair`.
         """
+        # The free-up point is the server's last projected departure:
+        # once that has passed, none of its jobs is still in flight.
+        busy = self.free_at[server] > now
         self.up[server] = False
-        q = self._inflight[server]
-        bounced = [(job[_ORIGIN], job[_SIZE], job[_ATTEMPTS]) for job in q]
-        q.clear()
         self.free_at[server] = float(now)
-        return bounced
+        if not busy:
+            return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        led = self._ledger
+        mine = (led[SERVER] == server) & (led[DEP] > now)
+        residents = led.compress(mine, axis=1)
+        self._ledger = led.compress(~mine, axis=1)
+        attempts = residents[ATTEMPTS].astype(np.int64)
+        return residents[ORIGIN], residents[SIZE], attempts
 
     def repair(self, server: int, now: float) -> None:
         """Bring *server* back at *now*, empty (its backlog was bounced)."""
@@ -272,27 +306,31 @@ class ServerBank:
         if factor <= 0.0:
             raise ValueError(f"speed factor must be positive, got {factor}")
         now = float(now)
-        old = self.effective_speed(server)
+        old = float(self.speeds[server] * self.speed_factor[server])
         self.speed_factor[server] = float(factor)
-        scale = old / self.effective_speed(server)
+        scale = old / float(self.speeds[server] * self.speed_factor[server])
         if scale == 1.0:
             return
-        for job in self._inflight[server]:
-            if job[_DEP] > now:
-                job[_DEP] = now + (job[_DEP] - now) * scale
-                job[_SVC] *= scale
+        led = self._ledger
+        cols = np.flatnonzero((led[SERVER] == server) & (led[DEP] > now))
+        led[DEP, cols] = now + (led[DEP, cols] - now) * scale
+        led[SVC, cols] *= scale
         if self.free_at[server] > now:
             self.free_at[server] = now + (self.free_at[server] - now) * scale
 
     def inflight_count(self) -> int:
-        return sum(len(q) for q in self._inflight)
+        return int(self._ledger.shape[1])
 
     def state_dict(self) -> dict:
+        # Per-server FIFO lists of [origin, size, svc, dep, attempts].
+        inflight = [[] for _ in range(self.n)]
+        for o, x, v, d, k, s in zip(*self._ledger.tolist()):
+            inflight[int(s)].append([o, x, v, d, int(k)])
         return {
             "free_at": [float(x) for x in self.free_at],
             "up": [bool(u) for u in self.up],
             "speed_factor": [float(x) for x in self.speed_factor],
-            "inflight": [[list(job) for job in q] for q in self._inflight],
+            "inflight": inflight,
         }
 
     def load_state(self, state: dict) -> None:
@@ -304,10 +342,5 @@ class ServerBank:
         self.free_at = free_at
         self.up = np.asarray(state["up"], dtype=bool)
         self.speed_factor = np.asarray(state["speed_factor"], dtype=float)
-        self._inflight = [
-            deque(
-                [float(j[0]), float(j[1]), float(j[2]), float(j[3]), int(j[4])]
-                for j in q
-            )
-            for q in state["inflight"]
-        ]
+        jobs = [job + [s] for s, q in enumerate(state["inflight"]) for job in q]
+        self._ledger = np.array(jobs, dtype=float).reshape(-1, 6).T.copy()

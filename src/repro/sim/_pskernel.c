@@ -251,6 +251,53 @@ i64 fcfs_window_sweep(const double *times, const double *work, i64 n,
     return 0;
 }
 
+/* Fault-mode segment dispatch: one segment of a fault-mode window
+ * (the stretch between two fault events, over which server membership
+ * and speeds are fixed), jobs in arrival order through the scalar FCFS
+ * recursion of the per-job loop, float op for float op:
+ *     svc = work / eff[s]
+ *     dep = max(free_at[s], t) + svc;   free_at[s] = dep
+ * This is deliberately not fcfs_window_sweep's cumulative form, whose
+ * rounding differs.  eff is each server's effective speed (nominal
+ * speed times its degradation factor).
+ *
+ * Accepted jobs become in-flight ledger rows, written in order into
+ * the 6 × n column block `rows` (row c of job k at rows[c*n + k]):
+ * origin, size, svc, dep, attempts, server.  A job aimed at a down
+ * server (up[s] == 0) is refused and its index appended to `refused`.
+ *
+ * Returns the number of accepted jobs, or -1 if any target lies
+ * outside [0, nservers) — checked before any state changes.
+ */
+i64 fault_segment_dispatch(const double *times, const double *work,
+                           const double *origin, const i64 *attempts,
+                           const i64 *targets, i64 n, const double *eff,
+                           const unsigned char *up, i64 nservers,
+                           double *free_at, double *rows, i64 *refused) {
+    for (i64 j = 0; j < n; j++)
+        if (targets[j] < 0 || targets[j] >= nservers) return -1;
+    i64 k = 0, r = 0;
+    for (i64 j = 0; j < n; j++) {
+        i64 s = targets[j];
+        if (!up[s]) {
+            refused[r++] = j;
+            continue;
+        }
+        double svc = work[j] / eff[s];
+        double start = times[j] > free_at[s] ? times[j] : free_at[s];
+        double dep = start + svc;
+        free_at[s] = dep;
+        rows[k] = origin[j];
+        rows[n + k] = work[j];
+        rows[2 * n + k] = svc;
+        rows[3 * n + k] = dep;
+        rows[4 * n + k] = (double)attempts[j];
+        rows[5 * n + k] = (double)s;
+        k++;
+    }
+    return k;
+}
+
 /* Algorithm 2 sequence extension: `count` further dispatch targets from
  * live (assign, next) state — the compiled mirror of
  * RoundRobinDispatcher.select, float op for float op (see
@@ -307,6 +354,19 @@ void ewma_fold(double *state, double weight, const double *xs, i64 n) {
     state[1] = norm;
 }
 
+/* Grouped EWMA fold: ewma_fold for k estimators sharing one weight
+ * (the service folds every server's speed witnesses in one call).
+ * Estimator e owns xs[offsets[e] .. offsets[e+1]) and the state pair
+ * state[2e], state[2e+1] = [raw, norm]; estimators are independent, so
+ * one call has the bits of k ewma_fold calls.
+ */
+void ewma_fold_grouped(double *state, double weight, const double *xs,
+                       const i64 *offsets, i64 k) {
+    for (i64 e = 0; e < k; e++)
+        ewma_fold(state + 2 * e, weight, xs + offsets[e],
+                  offsets[e + 1] - offsets[e]);
+}
+
 /* P² (Jain–Chlamtac) streaming-quantile batch fold: the post-warmup
  * marker update of P2Quantile.update applied to m observations, with
  * the locate / position-shift / parabolic-else-linear adjustment
@@ -349,6 +409,20 @@ void p2_fold(double *q, double *n, double *np_, const double *dn,
                 n[i] += d;
             }
         }
+    }
+}
+
+/* Several P² estimators over one batch: estimator e keeps its markers
+ * in state[20e .. 20e+20) as q[5], n[5], np[5], dn[5] and folds
+ * xs[start[e] .. m) (the elements its Python warm-up left over).
+ * Estimators are independent, so one call has the bits of k p2_fold
+ * calls.
+ */
+void p2_fold_many(double *state, const i64 *start, i64 k, const double *xs,
+                  i64 m) {
+    for (i64 e = 0; e < k; e++) {
+        double *st = state + 20 * e;
+        p2_fold(st, st + 5, st + 10, st + 15, xs + start[e], m - start[e]);
     }
 }
 

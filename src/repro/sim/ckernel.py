@@ -14,7 +14,8 @@ slices.  A single replication is a one-plan call and
 :func:`repro.sim.fastpath.ps_replay` a one-server one.  The library also
 carries the searchsorted-style uniform→target mapping used by the
 random dispatchers and the serve-path kernels (FCFS window sweep,
-Algorithm 2 sequence extension, EWMA and P² folds) — compiled here with
+fault-mode segment dispatch, Algorithm 2 sequence extension, EWMA and
+P² folds) — compiled here with
 the system ``gcc`` and loaded through :mod:`ctypes`.  No third-party
 build dependency, no wheels.
 
@@ -66,6 +67,7 @@ __all__ = [
     "cell_fn",
     "map_fn",
     "window_fn",
+    "fault_dispatch_fn",
     "rr_fn",
     "ewma_fn",
     "p2_fn",
@@ -79,11 +81,6 @@ __all__ = [
     "Arena",
     "arena",
     "replay_cell_c",
-    "map_uniform_c",
-    "replay_window_c",
-    "rr_extend_c",
-    "ewma_fold_c",
-    "p2_fold_c",
     "run_least_load_c",
 ]
 
@@ -100,6 +97,39 @@ _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_i64_p = ctypes.POINTER(ctypes.c_longlong)
 
 
+class _Array:
+    """ctypes argtype for a contiguous numpy array of one C type.
+
+    The serve-path entry points take numpy arrays directly, checked for
+    dtype and contiguity.  Sharing an array's memory through
+    ``from_buffer`` + ``byref`` costs about a quarter of
+    ``ctypes.data_as``, which dominated those calls; empty and read-only
+    arrays, which ``from_buffer`` rejects, take ``data_as``.
+    """
+
+    @classmethod
+    def from_param(cls, arr):
+        if arr.dtype != cls.dtype:
+            raise TypeError(f"expected a {cls.dtype} array, got {arr.dtype}")
+        if not arr.flags.c_contiguous:
+            raise TypeError("expected a C-contiguous array")
+        if arr.size and arr.flags.writeable:
+            return ctypes.byref(cls.ctype.from_buffer(arr))
+        return arr.ctypes.data_as(ctypes.POINTER(cls.ctype))
+
+
+class _F64(_Array):
+    ctype, dtype = ctypes.c_double, np.dtype(np.float64)
+
+
+class _I64(_Array):
+    ctype, dtype = ctypes.c_longlong, np.dtype(np.int64)
+
+
+class _U8(_Array):
+    ctype, dtype = ctypes.c_uint8, np.dtype(np.bool_)
+
+
 @dataclass(frozen=True)
 class _Lib:
     """Resolved entry points of one loaded kernel library."""
@@ -107,6 +137,7 @@ class _Lib:
     cell: object
     map_uniform: object
     window: object
+    fault_dispatch: object
     rr_extend: object
     ewma: object
     p2: object
@@ -256,56 +287,72 @@ def _load(path: Path, openmp: bool) -> _Lib:
     cell.restype = ctypes.c_longlong
     map_uniform = lib.map_uniform_right
     map_uniform.argtypes = [
-        _c_double_p,  # cum
+        _F64,  # cum
         ctypes.c_longlong,  # nbins
-        _c_double_p,  # u
+        _F64,  # u
         ctypes.c_longlong,  # n
-        _c_i64_p,  # out
+        _I64,  # out
     ]
     map_uniform.restype = None
     window = lib.fcfs_window_sweep
     window.argtypes = [
-        _c_double_p,  # times (arrival order)
-        _c_double_p,  # work (arrival order)
+        _F64,  # times (arrival order)
+        _F64,  # work (arrival order)
         ctypes.c_longlong,  # n
-        _c_double_p,  # speeds
+        _F64,  # speeds
         ctypes.c_longlong,  # nservers
-        _c_i64_p,  # targets
-        _c_double_p,  # free_at (in/out)
-        _c_double_p,  # departures (out)
-        _c_double_p,  # service_times (out)
-        _c_i64_p,  # order (out, stable grouping permutation)
-        _c_i64_p,  # offsets (out, nservers + 1)
-        _c_i64_p,  # cursor scratch (nservers)
-        _c_double_p,  # state scratch (2 * nservers)
+        _I64,  # targets
+        _F64,  # free_at (in/out)
+        _F64,  # departures (out)
+        _F64,  # service_times (out)
+        _I64,  # order (out, stable grouping permutation)
+        _I64,  # offsets (out, nservers + 1)
+        _I64,  # cursor scratch (nservers)
+        _F64,  # state scratch (2 * nservers)
     ]
     window.restype = ctypes.c_longlong
+    fault_dispatch = lib.fault_segment_dispatch
+    fault_dispatch.argtypes = [
+        _F64,  # times (arrival order)
+        _F64,  # work
+        _F64,  # origins
+        _I64,  # attempts
+        _I64,  # targets
+        ctypes.c_longlong,  # n
+        _F64,  # effective speeds
+        _U8,  # up (bool per server)
+        ctypes.c_longlong,  # nservers
+        _F64,  # free_at (in/out)
+        _F64,  # ledger rows (out, 6 x n)
+        _I64,  # refused job indices (out)
+    ]
+    fault_dispatch.restype = ctypes.c_longlong
     rr_extend = lib.rr_sequence_extend
     rr_extend.argtypes = [
-        _c_double_p,  # inv (1/alpha per server)
-        _c_i64_p,  # active indices
+        _F64,  # inv (1/alpha per server)
+        _I64,  # active indices
         ctypes.c_longlong,  # nactive
-        _c_i64_p,  # assign (in/out)
-        _c_double_p,  # next credits (in/out)
+        _I64,  # assign (in/out)
+        _F64,  # next credits (in/out)
         ctypes.c_longlong,  # count
-        _c_i64_p,  # out targets
+        _I64,  # out targets
     ]
     rr_extend.restype = None
-    ewma = lib.ewma_fold
+    ewma = lib.ewma_fold_grouped
     ewma.argtypes = [
-        _c_double_p,  # state [raw, norm] (in/out)
+        _F64,  # state [raw, norm] per estimator (in/out)
         ctypes.c_double,  # weight
-        _c_double_p,  # xs
-        ctypes.c_longlong,  # n
+        _F64,  # xs (grouped by estimator)
+        _I64,  # offsets (estimators + 1)
+        ctypes.c_longlong,  # estimators
     ]
     ewma.restype = None
-    p2 = lib.p2_fold
+    p2 = lib.p2_fold_many
     p2.argtypes = [
-        _c_double_p,  # q markers (in/out)
-        _c_double_p,  # n positions (in/out)
-        _c_double_p,  # np desired positions (in/out)
-        _c_double_p,  # dn increments
-        _c_double_p,  # xs
+        _F64,  # [q, n, np, dn] markers per estimator (in/out)
+        _I64,  # first element each estimator folds
+        ctypes.c_longlong,  # estimators
+        _F64,  # xs
         ctypes.c_longlong,  # m
     ]
     p2.restype = None
@@ -349,6 +396,7 @@ def _load(path: Path, openmp: bool) -> _Lib:
         cell=cell,
         map_uniform=map_uniform,
         window=window,
+        fault_dispatch=fault_dispatch,
         rr_extend=rr_extend,
         ewma=ewma,
         p2=p2,
@@ -411,7 +459,13 @@ def cell_fn():
 
 
 def map_fn():
-    """The compiled searchsorted-right uniform→bucket mapper, or None."""
+    """The compiled searchsorted-right uniform→bucket mapper, or None.
+
+    ``fn(cum, cum.size, u, u.size, out)``: ``cum``/``u`` contiguous
+    float64, ``out`` int64 of ``u``'s length.  The other serve-path
+    entry points below take numpy arrays the same way (argument order
+    as in ``_pskernel.c``).
+    """
     lib = _ensure_fns()
     return lib.map_uniform if lib else None
 
@@ -421,27 +475,58 @@ def window_fn():
 
     One call replays a control window of dispatched jobs through the
     per-server Lindley recursion with the servers' ``free_at`` instants
-    carried across windows — the serve-path counterpart of
-    :func:`cell_fn`.  Same availability/fallback contract.
+    carried across windows (in place) — the serve-path counterpart of
+    :func:`cell_fn`: ``fn(times, work, n, speeds, nservers, targets,
+    free_at, departures, service_times, order, offsets, cursor,
+    state)``, 0 on success, 1 (nothing touched) on a target out of
+    range.  Same availability/fallback contract.
     """
     lib = _ensure_fns()
     return lib.window if lib else None
 
 
+def fault_dispatch_fn():
+    """The fault-mode segment dispatch entry point, or None.
+
+    ``fn(times, work, origins, attempts, targets, n, eff, up, nservers,
+    free_at, rows, refused)`` runs one segment of a fault-mode window
+    through the scalar per-job FCFS recursion and returns the accepted
+    count (-1: a target out of range, nothing touched).  Same
+    availability/fallback contract as :func:`cell_fn`.
+    """
+    lib = _ensure_fns()
+    return lib.fault_dispatch if lib else None
+
+
 def rr_fn():
-    """The Algorithm 2 sequence-extension entry point, or None."""
+    """The Algorithm 2 sequence-extension entry point, or None.
+
+    ``fn(inv, active, active.size, assign, nxt, count, out)`` advances
+    live dispatcher state (``assign``/``nxt``, in place) by ``count``
+    targets written to ``out``.
+    """
     lib = _ensure_fns()
     return lib.rr_extend if lib else None
 
 
 def ewma_fn():
-    """The bias-corrected EWMA batch-fold entry point, or None."""
+    """The bias-corrected EWMA batch-fold entry point, or None.
+
+    ``fn(state, weight, xs, offsets, k)`` folds ``xs[offsets[e]:
+    offsets[e+1]]`` into ``state[2e:2e+2] = [raw, norm]`` for each of
+    ``k`` estimators sharing one weight.
+    """
     lib = _ensure_fns()
     return lib.ewma if lib else None
 
 
 def p2_fn():
-    """The P² streaming-quantile batch-fold entry point, or None."""
+    """The P² streaming-quantile batch-fold entry point, or None.
+
+    ``fn(state, start, k, xs, xs.size)`` folds ``xs[start[e]:]`` into
+    the markers ``state[20e:20e+20] = [q, n, np, dn]`` of each of ``k``
+    estimators.
+    """
     lib = _ensure_fns()
     return lib.p2 if lib else None
 
@@ -676,129 +761,6 @@ def replay_cell_c(
         offsets.reshape(nplans, nservers + 1),
         tail,
         status == 0,
-    )
-
-
-def replay_window_c(
-    fn,
-    times: np.ndarray,
-    work: np.ndarray,
-    speeds: np.ndarray,
-    targets: np.ndarray,
-    free_at: np.ndarray,
-):
-    """Replay one serving window through the carry-state compiled core.
-
-    ``times``/``work`` are the window's admitted jobs in arrival order
-    (contiguous float64), ``targets`` the dispatch decisions (contiguous
-    int64), ``free_at`` the per-server free-up instants carried from
-    the previous window — updated **in place** with the post-window
-    state.  Returns ``(departures, service_times, order, offsets, ok)``
-    where ``departures``/``service_times`` are in arrival order,
-    ``order`` is the stable group-by-server permutation and ``offsets``
-    the per-server group bounds (``nservers + 1``), and ``ok`` is False
-    when a target was out of range (``free_at`` untouched in that case
-    up to the offending job's server — callers must fall back to the
-    validating numpy path and not trust the partial state).
-
-    All returned arrays are arena-backed views: consume them before the
-    next replay call, never store them.
-    """
-    n = int(times.size)
-    nservers = int(speeds.size)
-    a = arena()
-    departures = a.f64("window.dep", n)
-    service_times = a.f64("window.svc", n)
-    order = a.i64("window.order", n)
-    offsets = a.i64("window.offsets", nservers + 1)
-    cursor = a.i64("window.cursor", nservers)
-    state = a.f64("window.state", 2 * nservers)
-    status = fn(
-        times.ctypes.data_as(_c_double_p),
-        work.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(n),
-        speeds.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(nservers),
-        targets.ctypes.data_as(_c_i64_p),
-        free_at.ctypes.data_as(_c_double_p),
-        departures.ctypes.data_as(_c_double_p),
-        service_times.ctypes.data_as(_c_double_p),
-        order.ctypes.data_as(_c_i64_p),
-        offsets.ctypes.data_as(_c_i64_p),
-        cursor.ctypes.data_as(_c_i64_p),
-        state.ctypes.data_as(_c_double_p),
-    )
-    return departures, service_times, order, offsets, status == 0
-
-
-def rr_extend_c(
-    fn,
-    inv: np.ndarray,
-    active: np.ndarray,
-    assign: np.ndarray,
-    nxt: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Extend an Algorithm 2 sequence through the compiled select loop.
-
-    ``inv`` (1/alpha per server, the exact doubles of the Python
-    dispatcher's ``_inv_alpha``), ``active`` (int64 participant
-    indices), ``assign``/``nxt`` live dispatcher state updated in
-    place, ``out`` int64 receiving ``out.size`` further targets.
-    """
-    fn(
-        inv.ctypes.data_as(_c_double_p),
-        active.ctypes.data_as(_c_i64_p),
-        ctypes.c_longlong(active.size),
-        assign.ctypes.data_as(_c_i64_p),
-        nxt.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(out.size),
-        out.ctypes.data_as(_c_i64_p),
-    )
-
-
-def ewma_fold_c(fn, state: np.ndarray, weight: float, xs: np.ndarray) -> None:
-    """Fold a batch of observations into EWMA state [raw, norm]."""
-    fn(
-        state.ctypes.data_as(_c_double_p),
-        ctypes.c_double(weight),
-        xs.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(xs.size),
-    )
-
-
-def p2_fold_c(
-    fn,
-    q: np.ndarray,
-    n: np.ndarray,
-    np_: np.ndarray,
-    dn: np.ndarray,
-    xs: np.ndarray,
-) -> None:
-    """Fold a batch of observations into P² marker state (in place)."""
-    fn(
-        q.ctypes.data_as(_c_double_p),
-        n.ctypes.data_as(_c_double_p),
-        np_.ctypes.data_as(_c_double_p),
-        dn.ctypes.data_as(_c_double_p),
-        xs.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(xs.size),
-    )
-
-
-def map_uniform_c(fn, cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """searchsorted(cum, u, side="right") through the compiled mapper.
-
-    ``cum`` and ``u`` contiguous float64, ``out`` contiguous int64 of
-    ``u``'s length.  Integer output: bit-identical to numpy by
-    construction.
-    """
-    fn(
-        cum.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(cum.size),
-        u.ctypes.data_as(_c_double_p),
-        ctypes.c_longlong(u.size),
-        out.ctypes.data_as(_c_i64_p),
     )
 
 

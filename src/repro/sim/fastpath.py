@@ -87,7 +87,9 @@ __all__ = [
 #: cached v3 entries are retired rather than trusted across the
 #: boundary.  Routing single replications and :func:`ps_replay` through
 #: that same cell kernel changed no result, so the tag stayed at v4.
-KERNEL_VERSION = "4"
+#: v5: the compiled surface gained the fault-mode segment dispatch and
+#: the grouped EWMA and P² folds; no replay result moved.
+KERNEL_VERSION = "5"
 
 
 def _validate_substream(

@@ -5,6 +5,8 @@ MRT within 5% of oracle static ORR, and recovery to within 5% of the
 new oracle allocation within two re-solve periods after a 2× step in λ.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.service import (
     SyntheticJobSource,
     TraceJobSource,
 )
+from repro.sim import ckernel
 from repro.sim.arrivals import Workload
 from repro.sim.modulated import step_profile
 
@@ -138,6 +141,28 @@ class TestTraceJobSource:
             TraceJobSource([2.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             TraceJobSource([1.0], [0.0])
+
+    @pytest.mark.parametrize("faults", [None, []], ids=["fault-free", "faulted"])
+    def test_csv_columns_replay_like_their_values(self, faults, monkeypatch):
+        """A trace read as two columns of one table (strided views, as
+        ``serve --replay`` loads a CSV) serves exactly like contiguous
+        copies of those columns — the compiled kernels read flat
+        buffers — and the compiled path matches the Python one."""
+        times, sizes = make_source(0.7, seed=5).jobs_until(500.0)
+        table = np.column_stack([times, sizes])
+        config = ServiceConfig(speeds=SPEEDS, duration=500.0,
+                               control_period=50.0)
+
+        def serve(t, x):
+            report = SchedulerService(
+                config, TraceJobSource(t, x), fault_events=faults
+            ).run()
+            return json.dumps(report.as_dict(), sort_keys=True)
+
+        strided = serve(table[:, 0], table[:, 1])
+        assert strided == serve(times.copy(), sizes.copy())
+        monkeypatch.setattr(ckernel, "_fns", False)
+        assert strided == serve(table[:, 0], table[:, 1])
 
 
 # ----------------------------------------------------------------------
